@@ -60,6 +60,15 @@ class BracketError(RuntimeError):
     """No sign change found while scanning for a root bracket."""
 
 
+def _check_range(name: str, value: float, upper: float = math.inf) -> float:
+    """Return value if it is finite and in (0, upper), else raise a
+    ValueError that names the bound."""
+    if not (math.isfinite(value) and 0.0 < value < upper):
+        bound = "positive" if upper == math.inf else f"in (0, {upper:g})"
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class PrivacyBudget:
     """An (epsilon, delta) pair; epsilon > 0 and 0 < delta < 1."""
@@ -68,10 +77,8 @@ class PrivacyBudget:
     delta: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
-        if not (math.isfinite(self.delta) and 0.0 < self.delta < 1.0):
-            raise ValueError(f"delta must be in (0, 1), got {self.delta!r}")
+        _check_range("epsilon", self.epsilon)
+        _check_range("delta", self.delta, 1.0)
 
 
 @dataclass(frozen=True)
@@ -144,17 +151,10 @@ def _pdp_equation(u: float, eps: float) -> float:
     return erfc(u) + erfc(math.sqrt(u * u + eps))
 
 
-def _check_tol(tol: float) -> float:
-    tol = float(tol)
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    return tol
-
-
 def _bisect_decreasing(fn, lo: float, hi: float, target: float, tol: float):
-    """Bisect fn(u) == target on [lo, hi] where fn is strictly decreasing and
-    fn(lo) > target > fn(hi).  Returns (root, iterations); the root is the
-    upper end of the final bracket, so fn(root) <= target."""
+    """Bisect fn(u) == target on a sign-change bracket fn(lo) > target >=
+    fn(hi); fn need not be monotone elsewhere.  Returns (root, iterations);
+    the root is the upper end of the final bracket, so fn(root) <= target."""
     iterations = 0
     while hi - lo >= tol:
         if iterations >= _MAX_BISECT_ITERS:
@@ -233,9 +233,7 @@ def _pdp_delta_unit(sigma_over_l2: float, eps: float) -> float:
 
 
 def _check_profile_args(sigma: NoiseScale, epsilon: float, sens: Sensitivity) -> float:
-    epsilon = float(epsilon)
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    epsilon = _check_range("epsilon", float(epsilon))
     if sigma.sigma <= 0.0:
         raise ValueError("delta profile requires sigma > 0")
     if sens.l2 <= 0.0:
@@ -344,9 +342,7 @@ def dp_opt_zero_eps(delta: float, sens: Sensitivity) -> NoiseScale:
     A strict, eps-independent upper bound on the optimal (eps, delta)-DP noise
     for every eps > 0, attained in the limit eps -> 0.
     """
-    delta = float(delta)
-    if not (math.isfinite(delta) and 0.0 < delta < 1.0):
-        raise ValueError(f"delta must be in (0, 1), got {delta!r}")
+    delta = _check_range("delta", float(delta), 1.0)
     if sens.l2 == 0.0:
         return NoiseScale(0.0, Mechanism.DP_OPT)
     sigma = sens.l2 / (2.0 * _SQRT2 * inverf(delta))
@@ -368,7 +364,7 @@ def solve_dp_opt(
     a = 0 when diff == 0, (0, b] with the mechanism-1 root b when diff > 0,
     and [-inverfc((2 - 2 delta)/(e^eps + 1)), 0) when diff < 0.
     """
-    tol = _check_tol(tol)
+    tol = _check_range("tol", float(tol))
     if sens.l2 == 0.0:
         return _zero_sensitivity_result(Mechanism.DP_OPT)
     eps, delta = budget.epsilon, budget.delta
@@ -418,7 +414,7 @@ def solve_pdp_opt(
     Solves erfc(d) + erfc(sqrt(d^2 + eps)) = 2 delta by bisection on the
     proven bracket (inverfc(2 delta), inverfc(delta)).
     """
-    tol = _check_tol(tol)
+    tol = _check_range("tol", float(tol))
     if sens.l2 == 0.0:
         return _zero_sensitivity_result(Mechanism.PDP_OPT)
     eps, delta = budget.epsilon, budget.delta
@@ -448,67 +444,64 @@ def failure_threshold(f_of_delta: float, delta: float, tol: float = 1e-6) -> flo
 
     ``f_of_delta`` is the multiplier F(delta) itself, e.g.
     sqrt(2 ln(1.25/delta)) for Dwork-2014.  The crossing is Delta-independent
-    (both sides are linear in Delta), so it is solved at Delta = 1 by
-    bisection on h(eps) = F(delta)/eps - sigma_dp_opt(eps, delta, 1).
+    (both sides are linear in Delta), so it is solved at Delta = 1.  The DP
+    profile strictly decreases in sigma, so F/eps falls below the optimal
+    noise exactly where the profile delta(F/eps, eps) exceeds delta: G is the
+    root of delta(F/eps, eps) = delta, found by bisection on the closed-form
+    profile.  The returned eps is the upper end of a bracket narrower than
+    tol, on the failing side of the crossing.
     """
-    f_of_delta = float(f_of_delta)
-    if not (math.isfinite(f_of_delta) and f_of_delta > 0.0):
-        raise ValueError(f"F(delta) must be positive, got {f_of_delta!r}")
-    delta = float(delta)
-    if not (math.isfinite(delta) and 0.0 < delta < 1.0):
-        raise ValueError(f"delta must be in (0, 1), got {delta!r}")
-    tol = _check_tol(tol)
+    f_of_delta = _check_range("F(delta)", float(f_of_delta))
+    delta = _check_range("delta", float(delta), 1.0)
+    tol = _check_range("tol", float(tol))
 
-    unit = Sensitivity(1.0)
-
-    def gap(eps: float) -> float:
-        sigma_opt = solve_dp_opt(PrivacyBudget(eps, delta), unit).noise.sigma
-        return f_of_delta / eps - sigma_opt
+    def profile(eps: float) -> float:
+        return _dp_delta_unit(f_of_delta / eps, eps)
 
     # geometric pre-scan for the sign change; the crossing exists for every
     # delta but has no a-priori bound, hence the wide window
     lo, hi = 1e-3, 1e4
     step = 10.0 ** 0.25
-    prev_eps, prev_gap = lo, gap(lo)
-    if prev_gap <= 0.0:
+    if profile(lo) >= delta:
         raise BracketError(
-            f"no positive gap at eps={lo}; F(delta)={f_of_delta} too small?"
+            f"F(delta)/eps already fails at eps={lo}; F(delta)={f_of_delta} too small?"
         )
     eps = lo
     while eps < hi:
-        eps = min(eps * step, hi)
-        g = gap(eps)
-        if g <= 0.0:
-            lo, hi = prev_eps, eps
+        prev_eps, eps = eps, min(eps * step, hi)
+        if profile(eps) >= delta:
             break
-        prev_eps, prev_gap = eps, g
     else:
         raise BracketError(
-            f"no sign change of F(delta)/eps - sigma_opt in eps in [1e-3, 1e4]"
+            "no sign change of delta(F(delta)/eps, eps) - delta in eps in [1e-3, 1e4]"
         )
-
-    iterations = 0
-    while hi - lo >= tol:
-        if iterations >= _MAX_BISECT_ITERS:
-            raise ConvergenceError(
-                f"failure_threshold bracket width {hi - lo:.3e} not below "
-                f"tol {tol:.3e}"
-            )
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            raise ConvergenceError(
-                f"tol {tol:.3e} is below float resolution at eps {hi!r}"
-            )
-        if gap(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
-    return 0.5 * (lo + hi)
+    root, _ = _bisect_decreasing(lambda e: -profile(e), prev_eps, eps, -delta, tol)
+    return root
 
 
 # ---------------------------------------------------------------------------
 # dispatcher
+
+
+def _cdp_route(budget: PrivacyBudget, sens: Sensitivity) -> NoiseScale:
+    from .relations import sigma_via_cdp_route  # relations imports this module
+
+    return sigma_via_cdp_route(budget, sens)
+
+
+# Each entry looks its function up when called, so that rebinding a module
+# name (as a call tracer does) also reroutes calibrate.
+_CALIBRATIONS = {
+    Mechanism.DWORK2006: lambda budget, sens, tol: sigma_dwork2006(budget, sens),
+    Mechanism.DWORK2014: lambda budget, sens, tol: sigma_dwork2014(budget, sens),
+    Mechanism.DP_OPT: lambda budget, sens, tol: solve_dp_opt(budget, sens, tol).noise,
+    Mechanism.MECH1: lambda budget, sens, tol: sigma_mech1(budget, sens),
+    Mechanism.MECH2: lambda budget, sens, tol: sigma_mech2(budget, sens),
+    Mechanism.PDP_OPT: lambda budget, sens, tol: solve_pdp_opt(budget, sens, tol).noise,
+    Mechanism.MECH3: lambda budget, sens, tol: sigma_mech3(budget, sens),
+    Mechanism.MECH4: lambda budget, sens, tol: sigma_mech4(budget, sens),
+    Mechanism.CDP_ROUTE: lambda budget, sens, tol: _cdp_route(budget, sens),
+}
 
 
 def calibrate(
@@ -518,25 +511,4 @@ def calibrate(
     tol: float = DEFAULT_TOL,
 ) -> NoiseScale:
     """Calibrated noise scale for any mechanism tag (solvers included)."""
-    kind = Mechanism(kind)
-    if kind is Mechanism.DWORK2006:
-        return sigma_dwork2006(budget, sens)
-    if kind is Mechanism.DWORK2014:
-        return sigma_dwork2014(budget, sens)
-    if kind is Mechanism.DP_OPT:
-        return solve_dp_opt(budget, sens, tol).noise
-    if kind is Mechanism.MECH1:
-        return sigma_mech1(budget, sens)
-    if kind is Mechanism.MECH2:
-        return sigma_mech2(budget, sens)
-    if kind is Mechanism.PDP_OPT:
-        return solve_pdp_opt(budget, sens, tol).noise
-    if kind is Mechanism.MECH3:
-        return sigma_mech3(budget, sens)
-    if kind is Mechanism.MECH4:
-        return sigma_mech4(budget, sens)
-    if kind is Mechanism.CDP_ROUTE:
-        from .relations import sigma_via_cdp_route
-
-        return sigma_via_cdp_route(budget, sens)
-    raise ValueError(f"unknown mechanism {kind!r}")
+    return _CALIBRATIONS[Mechanism(kind)](budget, sens, tol)

@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 
 from . import __version__
@@ -165,17 +164,16 @@ def cmd_profile(args) -> None:
 
 
 def cmd_region(args) -> None:
+    unit = Sensitivity(1.0)
     records = []
     for delta in args.delta_grid:
-        f14 = math.sqrt(2.0 * math.log(1.25 / delta))
-        f06 = math.sqrt(2.0 * math.log(2.0 / delta))
-        records.append(
-            {
-                "delta": delta,
-                "G_dwork2014": failure_threshold(f14, delta, args.tol),
-                "G_dwork2006": failure_threshold(f06, delta, args.tol),
-            }
-        )
+        # F(delta) is the classical sigma at eps = 1 and unit sensitivity
+        budget = PrivacyBudget(1.0, delta)
+        record = {"delta": delta}
+        for kind in _CLASSICAL:
+            f_of_delta = calibrate(kind, budget, unit).sigma
+            record[f"G_{kind}"] = failure_threshold(f_of_delta, delta, args.tol)
+        records.append(record)
     _emit(records, ["delta", "G_dwork2014", "G_dwork2006"], args)
 
 
@@ -191,6 +189,8 @@ def cmd_compose(args) -> None:
 
 def cmd_experiment(args) -> None:
     budget = _budget(args)
+    if args.experiment_kind == "hist":
+        _, rows = read_categorical_csv(args.csv)
     records = []
     for kind in MECHANISM_ORDER:
         if args.experiment_kind == "mean":
@@ -199,7 +199,6 @@ def cmd_experiment(args) -> None:
                 sensitivity=args.sens,
             )
         else:
-            _, rows = read_categorical_csv(args.csv)
             report = histogram_experiment(rows, budget, kind, args.trials, args.seed)
         records.append(
             {

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .calib import Sensitivity, _dp_delta_unit, _pdp_delta_unit
+from .calib import Sensitivity, _check_range, _dp_delta_unit, _pdp_delta_unit
 
 
 @dataclass(frozen=True)
@@ -27,15 +27,7 @@ class CompositionTerm:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValueError(f"sigma must be positive, got {self.sigma!r}")
-
-
-def _check_epsilon(epsilon: float) -> float:
-    epsilon = float(epsilon)
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    return epsilon
+        _check_range("sigma", self.sigma)
 
 
 def effective_unit_sigma(terms: Iterable[CompositionTerm]) -> float:
@@ -55,11 +47,11 @@ def effective_unit_sigma(terms: Iterable[CompositionTerm]) -> float:
 
 def composed_dp_delta(terms: Sequence[CompositionTerm], epsilon: float) -> float:
     """Smallest delta for which the composition is (epsilon, delta)-DP."""
-    epsilon = _check_epsilon(epsilon)
+    epsilon = _check_range("epsilon", float(epsilon))
     return _dp_delta_unit(effective_unit_sigma(terms), epsilon)
 
 
 def composed_pdp_delta(terms: Sequence[CompositionTerm], epsilon: float) -> float:
     """Smallest delta for which the composition is (epsilon, delta)-pDP."""
-    epsilon = _check_epsilon(epsilon)
+    epsilon = _check_range("epsilon", float(epsilon))
     return _pdp_delta_unit(effective_unit_sigma(terms), epsilon)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .calib import Mechanism, NoiseScale, PrivacyBudget, Sensitivity
+from .calib import Mechanism, NoiseScale, PrivacyBudget, Sensitivity, _check_range
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -27,8 +27,7 @@ class McdpParams:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.mu) and self.mu >= 0.0):
             raise ValueError(f"mu must be >= 0, got {self.mu!r}")
-        if not (math.isfinite(self.tau) and self.tau > 0.0):
-            raise ValueError(f"tau must be positive, got {self.tau!r}")
+        _check_range("tau", self.tau)
 
 
 @dataclass(frozen=True)
@@ -38,8 +37,7 @@ class ZcdpParams:
     rho: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.rho) and self.rho > 0.0):
-            raise ValueError(f"rho must be positive, got {self.rho!r}")
+        _check_range("rho", self.rho)
 
 
 def dp_to_pdp(budget: PrivacyBudget, eps_star: float) -> PrivacyBudget:
@@ -62,11 +60,6 @@ def dp_to_pdp(budget: PrivacyBudget, eps_star: float) -> PrivacyBudget:
             f"choose eps_star further above epsilon"
         )
     return PrivacyBudget(eps_star, delta_star)
-
-
-def pdp_to_dp(budget: PrivacyBudget) -> PrivacyBudget:
-    """(eps, delta)-pDP certifies (eps, delta)-DP at the same parameters."""
-    return budget
 
 
 def mcdp_to_pdp_delta(params: McdpParams, epsilon: float) -> float:

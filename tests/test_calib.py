@@ -13,12 +13,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gaussdp.calib import (
+    MECHANISM_ORDER,
     ConvergenceError,
     Mechanism,
     NoiseScale,
     PrivacyBudget,
     Sensitivity,
     achieves_dp,
+    calibrate,
     dp_delta_profile,
     dp_opt_zero_eps,
     failure_threshold,
@@ -33,7 +35,9 @@ from gaussdp.calib import (
     solve_pdp_opt,
 )
 from gaussdp.mech import privacy_loss_sample
+from gaussdp.relations import sigma_via_cdp_route
 from gaussdp.specfun import erfcx, inverfc
+from oracles import oracle_failure_threshold
 
 UNIT = Sensitivity(1.0)
 
@@ -362,6 +366,16 @@ def test_failure_threshold_values(f, delta, expected):
     assert abs(failure_threshold(f(delta), delta) - expected) <= 0.01
 
 
+@pytest.mark.parametrize("f", [f_dwork2014, f_dwork2006])
+@pytest.mark.parametrize(
+    "delta", [0.9, 0.5, 0.3, 1e-1, 1e-2, 1e-8, 1e-10, 1e-20, 1e-100, 1e-300]
+)
+def test_failure_threshold_matches_oracle(f, delta):
+    tol = 1e-6
+    got = failure_threshold(f(delta), delta, tol)
+    assert abs(got - float(oracle_failure_threshold(f(delta), delta))) <= tol
+
+
 def test_failure_threshold_consistency():
     delta = 1e-4
     g = failure_threshold(f_dwork2014(delta), delta)
@@ -375,6 +389,43 @@ def test_failure_threshold_domain():
         failure_threshold(-1.0, 1e-3)
     with pytest.raises(ValueError):
         failure_threshold(1.0, 0.0)
+
+
+# --- dispatch ---------------------------------------------------------------
+
+PER_MECHANISM = {
+    Mechanism.DWORK2006: sigma_dwork2006,
+    Mechanism.DWORK2014: sigma_dwork2014,
+    Mechanism.DP_OPT: lambda budget, sens: solve_dp_opt(budget, sens).noise,
+    Mechanism.MECH1: sigma_mech1,
+    Mechanism.MECH2: sigma_mech2,
+    Mechanism.PDP_OPT: lambda budget, sens: solve_pdp_opt(budget, sens).noise,
+    Mechanism.MECH3: sigma_mech3,
+    Mechanism.MECH4: sigma_mech4,
+    Mechanism.CDP_ROUTE: sigma_via_cdp_route,
+}
+
+
+@pytest.mark.parametrize("kind", MECHANISM_ORDER)
+def test_calibrate_dispatches_enum_and_tag(kind):
+    budget, sens = PrivacyBudget(2.0, 1e-5), Sensitivity(3.0)
+    want = PER_MECHANISM[kind](budget, sens)
+    assert want.kind is kind
+    assert calibrate(kind, budget, sens) == want
+    assert calibrate(str(kind), budget, sens) == want
+
+
+def test_calibrate_forwards_tol_to_solvers():
+    budget, tol = PrivacyBudget(2.0, 1e-5), 1e-3
+    for kind, solve in ((Mechanism.DP_OPT, solve_dp_opt), (Mechanism.PDP_OPT, solve_pdp_opt)):
+        coarse = calibrate(kind, budget, UNIT, tol)
+        assert coarse == solve(budget, UNIT, tol).noise
+        assert coarse != calibrate(kind, budget, UNIT)
+
+
+def test_calibrate_rejects_unknown_tag():
+    with pytest.raises(ValueError):
+        calibrate("bogus", PrivacyBudget(1.0, 1e-5), UNIT)
 
 
 # --- achieves_dp ------------------------------------------------------------

@@ -7,8 +7,9 @@ import math
 
 import pytest
 
+import gaussdp.cli
 from gaussdp.cli import main
-from gaussdp.mech import synthetic_census_rows, write_categorical_csv
+from gaussdp.mech import read_categorical_csv, synthetic_census_rows, write_categorical_csv
 
 
 def run_cli(capsys, *argv):
@@ -167,13 +168,20 @@ def test_region_table(capsys):
     code, out, _ = run_cli(capsys, "region", "--delta-grid", "1e-3,1e-4")
     assert code == 0
     rows = parse_csv(out)
-    assert abs(float(rows[0]["G_dwork2014"]) - 7.47) <= 0.01
+    assert abs(float(rows[0]["G_dwork2014"]) - 7.46) <= 0.01
     assert abs(float(rows[0]["G_dwork2006"]) - 8.51) <= 0.01
     assert abs(float(rows[1]["G_dwork2006"]) - 8.99) <= 0.01
     for row in rows:
         assert float(row["G_dwork2006"]) > float(row["G_dwork2014"])
     # frontier recedes (G grows) as delta shrinks
     assert float(rows[1]["G_dwork2014"]) > float(rows[0]["G_dwork2014"])
+
+
+@pytest.mark.parametrize("delta", ["0", "-1e-3", "1.5"])
+def test_region_names_delta_bound(capsys, delta):
+    code, _, err = run_cli(capsys, "region", f"--delta-grid={delta}")
+    assert code == 2
+    assert "delta must be in (0, 1)" in err
 
 
 def test_compose_record(capsys):
@@ -243,6 +251,26 @@ def test_experiment_hist_table(capsys, tmp_path):
     assert max(rows[m] for m in dp_rows) == rows["dwork2006"]
     _, again, _ = run_cli(capsys, *args)
     assert again == out
+
+
+def test_experiment_hist_reads_csv_once(capsys, tmp_path, monkeypatch):
+    header, records = synthetic_census_rows(50, seed=3)
+    path = tmp_path / "synth.csv"
+    write_categorical_csv(path, header, records)
+    calls = []
+
+    def counting_read(csv_path):
+        calls.append(csv_path)
+        return read_categorical_csv(csv_path)
+
+    monkeypatch.setattr(gaussdp.cli, "read_categorical_csv", counting_read)
+    code, out, _ = run_cli(
+        capsys, "experiment", "hist", "--csv", str(path), "--eps", "1",
+        "--delta", "1e-5", "--trials", "2",
+    )
+    assert code == 0
+    assert len(parse_csv(out)) == 9
+    assert calls == [str(path)]
 
 
 def test_experiment_hist_missing_csv_exits_2(capsys, tmp_path):
