@@ -1,7 +1,8 @@
 """Gaussian noise calibrations for (eps, delta)-DP and (eps, delta)-pDP.
 
 Covers the two classical calibrations (Dwork-2006/2014), the optimal DP and
-pDP noise amounts (bisection solvers with proven brackets), four closed-form
+pDP noise amounts (safeguarded-Newton solvers on proven brackets, with a
+profile certificate on every answer), four closed-form
 upper-bound mechanisms, the exact DP/pDP privacy profiles delta(sigma), and
 the failure frontier G(delta) above which any F(delta)*Delta/eps calibration
 stops achieving DP.
@@ -14,8 +15,12 @@ Conventions used throughout:
   * Products exp(eps) * erfc(sqrt(u^2 + eps)) are always formed as
     erfcx(sqrt(u^2 + eps)) * exp(-u^2); the exponents cancel exactly, so the
     whole eps range [1e-6, 1e6] works without overflow.
-  * Solvers bisect a strictly decreasing residual and return the upper end
-    of the final bracket, so the reported sigma errs on the noisy (safe) side.
+  * Solvers shrink a sign-change bracket of a strictly decreasing residual,
+    by Newton steps on its logarithm or else by bisection, and return the
+    upper end of a final bracket narrower than tol, so the reported sigma
+    errs on the noisy (safe) side.  The solvers then certify their sigma on
+    the exact profile (DP for dp-opt, pDP for pdp-opt) and raise it by a few
+    ulps wherever rounding left the profile above delta.
 """
 
 from __future__ import annotations
@@ -27,9 +32,13 @@ from enum import Enum
 from .specfun import erfc, erfcx, inverf, inverfc, inverfc_seed
 
 _SQRT2 = math.sqrt(2.0)
+_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 DEFAULT_TOL = 1e-12
-_MAX_BISECT_ITERS = 200
+_MAX_ITERS = 200
+# cap on the doubling ulp nudges of the certificate: 2^64 ulp is over 4000
+# times sigma, far beyond any rounding shortfall
+_MAX_CERT_STEPS = 64
 
 
 class Mechanism(str, Enum):
@@ -53,7 +62,8 @@ MECHANISM_ORDER: tuple[Mechanism, ...] = tuple(Mechanism)
 
 
 class ConvergenceError(RuntimeError):
-    """A bisection failed to shrink its bracket below tol within the cap."""
+    """A solve failed to shrink its bracket below tol within the cap, or a
+    certificate failed to pass within its cap."""
 
 
 class BracketError(RuntimeError):
@@ -110,9 +120,12 @@ class NoiseScale:
 class CalibrationResult:
     """Solver output: the noise scale plus root-finding telemetry.
 
-    ``bracket_low``/``bracket_high`` record the initial proven bracket;
-    ``residual`` is the defining-equation residual at the returned root
-    (bounded by (2/sqrt(pi)) * tol).
+    ``bracket_low``/``bracket_high`` record the initial proven bracket,
+    whose sign change the solver's own evaluations confirm; ``iterations``
+    counts every evaluation of the defining equation; ``residual`` is the
+    defining-equation residual at the returned root (bounded by
+    (2/sqrt(pi)) * tol).  ``noise.sigma`` passes its own exact profile, so
+    it may sit a few ulps above ``_sigma_from_root(root)``.
     """
 
     noise: NoiseScale
@@ -146,37 +159,104 @@ def _dp_equation(u: float, eps: float) -> float:
     return erfc(u) - _exp_eps_erfc(u, eps)
 
 
+def _dp_slope(u: float, eps: float) -> float:
+    # r'(u) = -(2/sqrt(pi)) e^{-u^2} (1 - u/s), s = sqrt(u^2+eps), with
+    # 1 - u/s = eps / (s (s + u)) free of cancellation for u >= 0.
+    s = math.sqrt(u * u + eps)
+    ratio = eps / (s * (s + u)) if u >= 0.0 else 1.0 - u / s
+    return -_TWO_OVER_SQRT_PI * math.exp(-u * u) * ratio
+
+
 def _pdp_equation(u: float, eps: float) -> float:
     # erfc(u) + erfc(sqrt(u^2+eps)); strictly decreasing in u.
     return erfc(u) + erfc(math.sqrt(u * u + eps))
 
 
-def _bisect_decreasing(fn, lo: float, hi: float, target: float, tol: float):
-    """Bisect fn(u) == target on a sign-change bracket fn(lo) > target >=
-    fn(hi); fn need not be monotone elsewhere.  Returns (root, iterations);
-    the root is the upper end of the final bracket, so fn(root) <= target."""
-    iterations = 0
+def _pdp_slope(u: float, eps: float) -> float:
+    # d/du [erfc(u) + erfc(s)] = -(2/sqrt(pi)) e^{-u^2} (1 + e^{-eps} u/s)
+    s = math.sqrt(u * u + eps)
+    return -_TWO_OVER_SQRT_PI * math.exp(-u * u) * (1.0 + math.exp(-eps) * u / s)
+
+
+def _solve_decreasing(fn, lo, hi, target, tol, slope=None, fn_lo=None, fn_hi=None):
+    """Solve fn(u) == target on a sign-change bracket fn(lo) > target >=
+    fn(hi); fn need not be monotone elsewhere.
+
+    Without ``slope`` every step bisects.  With ``slope`` (fn's derivative;
+    fn must be positive) each step is a Newton step on ln fn = ln target
+    from the last evaluated point, or else from the other end where fn is
+    known (this catches roots where ln fn bends so that the near end
+    overshoots), taken if it lands inside the bracket and is under half the
+    previous step; otherwise the step bisects.  A Newton step shorter than
+    sqrt(tol)/10 lands within a small fraction of tol of the root, at c, and
+    the bracket is closed by evaluating c + 0.4 tol and c - 0.4 tol, which
+    keeps about tol/2 of slack above the root, as bisection does.  Should
+    they leave it open, fn is too coarse for Newton and the rest bisects.
+    ``fn_lo``/``fn_hi`` give fn at the ends where known; a Newton solve
+    evaluates fn(hi) otherwise, which confirms the bracket.
+
+    Every evaluation shrinks the bracket.  Returns (root, fn(root),
+    evaluations): root is the upper end of a final bracket narrower than
+    tol, so fn(root) <= target (fn(root) is None if never evaluated), and
+    evaluations counts every call of fn.
+    """
+    evaluations = 0
+    if slope is not None:
+        if fn_hi is None:
+            fn_hi = fn(hi)
+            evaluations = 1
+        if not fn_hi <= target:
+            raise BracketError(f"no sign change: {fn_hi!r} > {target!r} at {hi!r}")
+        close = 0.1 * math.sqrt(tol)
+    x = hi  # the last evaluated point, Newton's first base
+    last_step = hi - lo
+    probes, probed = [], False
     while hi - lo >= tol:
-        if iterations >= _MAX_BISECT_ITERS:
+        if evaluations >= _MAX_ITERS:
             raise ConvergenceError(
-                f"bisection bracket width {hi - lo:.3e} not below tol {tol:.3e} "
-                f"after {iterations} iterations"
+                f"bracket width {hi - lo:.3e} not below tol {tol:.3e} "
+                f"after {evaluations} evaluations"
             )
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
+        u = 0.5 * (lo + hi)
+        if slope is not None:
+            probes = [p for p in probes if lo < p < hi]
+            if probes:
+                u = probes.pop()
+            elif probed:
+                slope = None  # the closing probes left the bracket open
+            else:
+                ends = [(hi, fn_hi), (lo, fn_lo)]
+                for base, value in ends if x == hi else ends[::-1]:
+                    # Newton on ln fn; skipped where fn is unknown, not
+                    # positive, flat, or too far from target for a finite ratio
+                    ratio = value / target if value is not None else 0.0
+                    d = slope(base) if 0.0 < ratio < math.inf else 0.0
+                    if d >= 0.0:
+                        continue
+                    c = base + math.log(ratio) * value / -d
+                    if abs(c - base) < close:
+                        probes = [c - 0.4 * tol, c + 0.4 * tol]
+                        probes = [p for p in probes if lo < p < hi]
+                        if probes:
+                            u, probed = probes.pop(), True
+                            break
+                    elif lo < c < hi and abs(c - base) < 0.5 * last_step:
+                        u = c
+                        break
+            last_step = abs(u - x)
+        if not lo < u < hi:
             # bracket exhausted at float resolution with width still >= tol
             raise ConvergenceError(
                 f"tol {tol:.3e} is below float resolution at root {hi!r}"
             )
-        value = fn(mid)
-        iterations += 1
-        if value == target:
-            return mid, iterations
+        value = fn(u)
+        evaluations += 1
         if value > target:
-            lo = mid
+            lo, fn_lo = u, value
         else:
-            hi = mid
-    return hi, iterations
+            hi, fn_hi = u, value
+        x = u
+    return hi, fn_hi, evaluations
 
 
 def _zero_sensitivity_result(kind: Mechanism) -> CalibrationResult:
@@ -215,8 +295,15 @@ def sigma_dwork2014(budget: PrivacyBudget, sens: Sensitivity) -> NoiseScale:
 # privacy profiles
 
 
+# Beyond |a| = 27.5 both profiles round to exactly 0.0 (a > 0) or 1.0
+# (a < 0), and for extreme sigma a*a (or a itself) overflows.
+_PROFILE_SATURATES = 27.5
+
+
 def _dp_delta_unit(sigma_over_l2: float, eps: float) -> float:
     a = (eps * sigma_over_l2 - 0.5 / sigma_over_l2) / _SQRT2
+    if not -_PROFILE_SATURATES <= a <= _PROFILE_SATURATES:
+        return 0.0 if a > 0.0 else 1.0
     if a >= 0.0:
         # (1/2) e^{-a^2} (erfcx(a) - erfcx(sqrt(a^2+eps))): the difference of
         # the two decreasing erfcx values is positive by construction, so the
@@ -229,6 +316,8 @@ def _dp_delta_unit(sigma_over_l2: float, eps: float) -> float:
 
 def _pdp_delta_unit(sigma_over_l2: float, eps: float) -> float:
     lam = (eps * sigma_over_l2 - 0.5 / sigma_over_l2) / _SQRT2
+    if not -_PROFILE_SATURATES <= lam <= _PROFILE_SATURATES:
+        return 0.0 if lam > 0.0 else 1.0
     return 0.5 * _pdp_equation(lam, eps)
 
 
@@ -353,57 +442,77 @@ def dp_opt_zero_eps(delta: float, sens: Sensitivity) -> NoiseScale:
 # optimal-noise solvers
 
 
+def _certified(
+    sigma: float, l2: float, eps: float, delta: float, unit_profile
+) -> float:
+    """sigma raised by 1, 2, 4, ... ulp until unit_profile(sigma / l2, eps)
+    <= delta: the solvers' root errs on the safe side, but rounding in the
+    profile can still leave it a few ulps short."""
+    step = math.ulp(sigma)
+    for _ in range(_MAX_CERT_STEPS):
+        if unit_profile(sigma / l2, eps) <= delta:
+            return sigma
+        sigma += step
+        step += step
+    raise ConvergenceError(
+        f"sigma {sigma!r} still misses its profile at eps={eps!r}, delta={delta!r}"
+    )
+
+
 def solve_dp_opt(
     budget: PrivacyBudget, sens: Sensitivity, tol: float = DEFAULT_TOL
 ) -> CalibrationResult:
     """Optimal (least) Gaussian noise for (eps, delta)-DP.
 
-    Solves erfc(a) - e^eps erfc(sqrt(a^2 + eps)) = 2 delta by bisection and
-    returns sigma = (a + sqrt(a^2 + eps)) Delta / (eps sqrt(2)).  The bracket
+    Solves erfc(a) - e^eps erfc(sqrt(a^2 + eps)) = 2 delta by safeguarded
+    Newton (see ``_solve_decreasing``) and returns sigma = (a + sqrt(a^2 +
+    eps)) Delta / (eps sqrt(2)), certified on the DP profile.  The bracket
     follows the sign of diff = 1 - e^eps erfc(sqrt(eps)) - 2 delta:
-    a = 0 when diff == 0, (0, b] with the mechanism-1 root b when diff > 0,
-    and [-inverfc((2 - 2 delta)/(e^eps + 1)), 0) when diff < 0.
+    a = 0 when diff == 0; (0, c] with mechanism 2's constant
+    c = inverfc_seed(2 delta) > inverfc(2 delta) when diff > 0; and
+    [-inverfc_seed((2 - 2 delta)/(e^eps + 1)), 0) when diff < 0, a bound
+    on |a| looser than inverfc of the same argument.
     """
     tol = _check_range("tol", float(tol))
     if sens.l2 == 0.0:
         return _zero_sensitivity_result(Mechanism.DP_OPT)
     eps, delta = budget.epsilon, budget.delta
     target = 2.0 * delta
-    diff = 1.0 - erfcx(math.sqrt(eps)) - target
+    at_zero = 1.0 - erfcx(math.sqrt(eps))  # the residual equation at a = 0
 
-    if diff == 0.0:
-        root, lo, hi, iterations = 0.0, 0.0, 0.0, 0
-    elif diff > 0.0:
-        lo, hi = 0.0, _mech1_root(eps, delta)
-        root, iterations = _bisect_decreasing(
-            lambda u: _dp_equation(u, eps), lo, hi, target, tol
+    def fn(u: float) -> float:
+        return _dp_equation(u, eps)
+
+    def slope(u: float) -> float:
+        return _dp_slope(u, eps)
+
+    if at_zero == target:
+        root, value, lo, hi, iterations = 0.0, at_zero, 0.0, 0.0, 0
+    elif at_zero > target:
+        lo, hi = 0.0, inverfc_seed(target)
+        root, value, iterations = _solve_decreasing(
+            fn, lo, hi, target, tol, slope, fn_lo=at_zero
         )
     else:
-        lo, hi = -_negative_branch_lower_bound(eps, delta, target), 0.0
-        root, iterations = _bisect_decreasing(
-            lambda u: _dp_equation(u, eps), lo, hi, target, tol
+        # Beyond eps = 700, e^eps overflows; the bound at eps = 700 (about
+        # 26.4) still holds, as r(-26.4) > 2 - 1e-300 > 2 delta.
+        y = (2.0 - 2.0 * delta) / (math.exp(min(eps, 700.0)) + 1.0)
+        lo, hi = -inverfc_seed(y), 0.0
+        root, value, iterations = _solve_decreasing(
+            fn, lo, hi, target, tol, slope, fn_hi=at_zero
         )
 
+    sigma = _certified(
+        _sigma_from_root(root, eps, sens.l2), sens.l2, eps, delta, _dp_delta_unit
+    )
     return CalibrationResult(
-        noise=NoiseScale(_sigma_from_root(root, eps, sens.l2), Mechanism.DP_OPT),
+        noise=NoiseScale(sigma, Mechanism.DP_OPT),
         root=root,
         bracket_low=lo,
         bracket_high=hi,
         iterations=iterations,
-        residual=_dp_equation(root, eps) - target,
+        residual=value - target,
     )
-
-
-def _negative_branch_lower_bound(eps: float, delta: float, target: float) -> float:
-    # Proven bound |a| < inverfc((2 - 2 delta)/(e^eps + 1)); if e^eps
-    # overflows (possible only for delta > 0.5 at enormous eps) widen
-    # geometrically instead.
-    if eps < 700.0:
-        return inverfc((2.0 - 2.0 * delta) / (math.exp(eps) + 1.0))
-    lo = 1.0
-    while _dp_equation(-lo, eps) <= target and lo < 40.0:
-        lo *= 2.0
-    return lo
 
 
 def solve_pdp_opt(
@@ -411,26 +520,38 @@ def solve_pdp_opt(
 ) -> CalibrationResult:
     """Optimal (least) Gaussian noise for (eps, delta)-pDP.
 
-    Solves erfc(d) + erfc(sqrt(d^2 + eps)) = 2 delta by bisection on the
-    proven bracket (inverfc(2 delta), inverfc(delta)).
+    Solves erfc(d) + erfc(sqrt(d^2 + eps)) = 2 delta by safeguarded Newton
+    (see ``_solve_decreasing``), certified on the pDP profile.  The root
+    lies in (inverfc(2 delta), inverfc(delta)); the solver's bracket is
+    [0, inverfc_seed(delta)] for delta < 0.5 (mechanism 4's constant, above
+    inverfc(delta)) and [inverfc(2 delta), inverfc_seed(delta)] otherwise,
+    where the root may be negative.
     """
     tol = _check_range("tol", float(tol))
     if sens.l2 == 0.0:
         return _zero_sensitivity_result(Mechanism.PDP_OPT)
     eps, delta = budget.epsilon, budget.delta
     target = 2.0 * delta
-    lo = inverfc(target)
-    hi = inverfc(delta)
-    root, iterations = _bisect_decreasing(
-        lambda u: _pdp_equation(u, eps), lo, hi, target, tol
+    lo = 0.0 if delta < 0.5 else inverfc(target)
+    hi = inverfc_seed(delta)
+    root, value, iterations = _solve_decreasing(
+        lambda u: _pdp_equation(u, eps),
+        lo,
+        hi,
+        target,
+        tol,
+        lambda u: _pdp_slope(u, eps),
+    )
+    sigma = _certified(
+        _sigma_from_root(root, eps, sens.l2), sens.l2, eps, delta, _pdp_delta_unit
     )
     return CalibrationResult(
-        noise=NoiseScale(_sigma_from_root(root, eps, sens.l2), Mechanism.PDP_OPT),
+        noise=NoiseScale(sigma, Mechanism.PDP_OPT),
         root=root,
         bracket_low=lo,
         bracket_high=hi,
         iterations=iterations,
-        residual=_pdp_equation(root, eps) - target,
+        residual=value - target,
     )
 
 
@@ -475,7 +596,7 @@ def failure_threshold(f_of_delta: float, delta: float, tol: float = 1e-6) -> flo
         raise BracketError(
             "no sign change of delta(F(delta)/eps, eps) - delta in eps in [1e-3, 1e4]"
         )
-    root, _ = _bisect_decreasing(lambda e: -profile(e), prev_eps, eps, -delta, tol)
+    root, _, _ = _solve_decreasing(lambda e: -profile(e), prev_eps, eps, -delta, tol)
     return root
 
 

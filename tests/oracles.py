@@ -30,6 +30,10 @@ def oracle_inverfc(p):
     return _erfinv(1 - mpf(repr(float(p))))
 
 
+def oracle_erfinv(p):
+    return _erfinv(mpf(repr(float(p))))
+
+
 def oracle_dp_delta(sigma, eps):
     """Exact DP profile at sensitivity 1: (1/2) erfc(a) - (e^eps/2) erfc(b),
     a, b = (eps sigma -+ 1/(2 sigma)) / sqrt(2) (Balle & Wang 2018; the
@@ -60,6 +64,24 @@ def oracle_failure_threshold(f_of_delta, delta):
         if excess(hi) >= 0:
             return mp.findroot(excess, (lo, hi), solver="anderson")
     raise ValueError("no crossing in [1e-3, 1e4]")
+
+
+def oracle_dp_opt_sigma(eps, delta, lo, hi):
+    """The optimal DP sigma at sensitivity 1: the root of
+    oracle_dp_delta(sigma, eps) = delta, which strictly decreases in sigma,
+    bisected at full precision on the sign-change bracket (lo, hi) to a
+    relative width below 1e-20."""
+    eps, delta = mpf(repr(float(eps))), mpf(repr(float(delta)))
+    lo, hi = mpf(lo), mpf(hi)
+    if not oracle_dp_delta(lo, eps) > delta >= oracle_dp_delta(hi, eps):
+        raise ValueError("no sign change of the profile on (lo, hi)")
+    while hi - lo > hi * mpf("1e-20"):
+        mid = (lo + hi) / 2
+        if oracle_dp_delta(mid, eps) > delta:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def rel_err(got, true) -> float:

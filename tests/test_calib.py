@@ -8,6 +8,7 @@ and profile inversion).
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -36,8 +37,13 @@ from gaussdp.calib import (
 )
 from gaussdp.mech import privacy_loss_sample
 from gaussdp.relations import sigma_via_cdp_route
-from gaussdp.specfun import erfcx, inverfc
-from oracles import oracle_failure_threshold
+from gaussdp.specfun import erfcx, inverfc, inverfc_seed
+from oracles import (
+    oracle_dp_opt_sigma,
+    oracle_erfinv,
+    oracle_failure_threshold,
+    rel_err,
+)
 
 UNIT = Sensitivity(1.0)
 
@@ -142,6 +148,15 @@ def test_pdp_profile_monte_carlo_agreement():
     assert abs(got - expected) <= 3.0 * stderr
 
 
+@pytest.mark.parametrize("sigma,expected", [(1e200, 0.0), (1e-200, 1.0)])
+def test_profiles_total_at_extreme_sigma(sigma, expected):
+    # a*a overflows here; both profiles are exactly 0 or 1 in double precision
+    noise = NoiseScale(sigma, Mechanism.DP_OPT)
+    for eps in (1e-8, 1.0, 1e8):
+        assert dp_delta_profile(noise, eps, UNIT) == expected
+        assert pdp_delta_profile(noise, eps, UNIT) == expected
+
+
 def test_profile_domain_errors():
     with pytest.raises(ValueError):
         dp_delta_profile(NoiseScale(0.0, Mechanism.DP_OPT), 1, UNIT)
@@ -168,13 +183,16 @@ def test_dp_opt_least_noise_rows(eps, delta, expected):
 
 def test_dp_opt_zero_root_case():
     # delta chosen so 2*delta == 1 - e^eps erfc(sqrt(eps)) exactly: a == 0 and
-    # sigma collapses to Delta/sqrt(2 eps)
+    # sigma collapses to Delta/sqrt(2 eps), which misses its own DP profile by
+    # 1.1e-16 in floating point; the certificate raises it by a few ulps
     eps = 1.0
     delta = (1.0 - erfcx(math.sqrt(eps))) / 2.0
     result = solve_dp_opt(budget(eps, delta), UNIT)
     assert result.root == 0.0
     assert result.iterations == 0
-    assert result.noise.sigma == 1.0 / math.sqrt(2.0 * eps)
+    closed_form = 1.0 / math.sqrt(2.0 * eps)
+    assert dp_delta_profile(result.noise, eps, UNIT) <= delta
+    assert closed_form <= result.noise.sigma <= closed_form + 4 * math.ulp(closed_form)
 
 
 def test_dp_opt_telemetry_invariants():
@@ -214,8 +232,9 @@ def test_dp_opt_unreachable_tolerance():
 def test_pdp_opt_bracket_lemma():
     result = solve_pdp_opt(budget(1, 1e-3), UNIT)
     assert inverfc(2e-3) < result.root < inverfc(1e-3)
-    assert result.bracket_low == inverfc(2e-3)
-    assert result.bracket_high == inverfc(1e-3)
+    # the solver's bracket for delta < 0.5: [0, mechanism 4's constant]
+    assert result.bracket_low == 0.0
+    assert result.bracket_high == inverfc_seed(1e-3)
 
 
 def test_pdp_opt_needs_more_noise_than_dp_opt():
@@ -238,6 +257,66 @@ def test_pdp_opt_accepts_large_delta():
     result = solve_pdp_opt(budget(0.5, 0.7), UNIT)
     assert result.bracket_low < 0.0 < result.bracket_high
     assert abs(pdp_delta_profile(result.noise, 0.5, UNIT) - 0.7) <= 1e-9
+
+
+# --- solver guarantees ------------------------------------------------------
+
+SOLVERS = (
+    (solve_dp_opt, dp_delta_profile),
+    (solve_pdp_opt, pdp_delta_profile),
+)
+SWEEP_EPS = tuple(10.0**k for k in range(-8, 9))
+SWEEP_DELTA = (
+    5e-324, 1e-310, 1e-300, 1e-200, 1e-100, 1e-50, 1e-20, 1e-12, 1e-6, 1e-3,
+    0.1, 0.5, 0.7, 1 - 1e-9,
+)
+
+
+def test_solver_evaluations_on_request_ranges():
+    # the ranges of single calibrate requests: eps, delta and sensitivity
+    # log-uniform on [1e-2, 50], [1e-12, 1e-1] and [1e-3, 1e3]
+    rng = random.Random(2024)
+    for _ in range(2000):
+        eps, delta, sens = (
+            math.exp(rng.uniform(math.log(lo), math.log(hi)))
+            for lo, hi in ((1e-2, 50.0), (1e-12, 1e-1), (1e-3, 1e3))
+        )
+        for solve, _ in SOLVERS:
+            result = solve(budget(eps, delta), Sensitivity(sens))
+            assert result.iterations <= 10, (solve.__name__, eps, delta)
+
+
+def test_solvers_certified_on_domain_sweep():
+    for solve, profile in SOLVERS:
+        for eps in SWEEP_EPS:
+            for delta in SWEEP_DELTA:
+                for sens in (Sensitivity(1e-3), UNIT, Sensitivity(1e3)):
+                    noise = solve(budget(eps, delta), sens).noise
+                    assert profile(noise, eps, sens) <= delta, (
+                        solve.__name__, eps, delta, sens.l2,
+                    )
+
+
+def test_solvers_tight():
+    # sigma 1e-9 lower must fail; below eps = 1e-6 the profile's rounding
+    # (relative 1e-16 / (eps / 2u^2)) exceeds that change, and at subnormal
+    # delta or delta -> 1 so does delta's own resolution
+    for solve, profile in SOLVERS:
+        for eps in SWEEP_EPS[2:]:
+            for delta in SWEEP_DELTA[2:-1]:
+                noise = solve(budget(eps, delta), UNIT).noise
+                lower = NoiseScale(noise.sigma * (1 - 1e-9), noise.kind)
+                assert profile(lower, eps, UNIT) > delta, (solve.__name__, eps, delta)
+
+
+@pytest.mark.parametrize(
+    "eps,delta",
+    [(1e-2, 1e-12), (0.1, 1e-6), (1.0, 1e-5), (10.0, 0.01), (50.0, 1e-100), (1e4, 0.3)],
+)
+def test_dp_opt_matches_oracle_root(eps, delta):
+    sigma = solve_dp_opt(budget(eps, delta), UNIT).noise.sigma
+    true = oracle_dp_opt_sigma(eps, delta, 0.5 * sigma, 2.0 * sigma)
+    assert rel_err(sigma, true) <= 1e-10
 
 
 # --- closed-form mechanisms -------------------------------------------------
@@ -334,6 +413,14 @@ def test_zero_eps_limit():
         0.01, UNIT
     ).sigma
     assert 0.999 <= ratio <= 1.0
+
+
+@pytest.mark.parametrize("delta", [1e-10, 1e-16, 1e-17, 1e-100, 1e-300])
+def test_zero_eps_small_delta_against_oracle(delta):
+    # inverf(delta) must not go through inverfc(1 - delta), where 1 - delta
+    # keeps few or none of delta's digits
+    true = 1 / (2 * math.sqrt(2) * oracle_erfinv(delta))
+    assert rel_err(dp_opt_zero_eps(delta, UNIT).sigma, true) <= 1e-12
 
 
 def test_zero_eps_degenerate():
