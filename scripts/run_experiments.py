@@ -31,10 +31,7 @@ def main() -> None:
     args = parser.parse_args()
 
     mean_budget = PrivacyBudget(0.1, 1e-4)
-    reports = [
-        mean_experiment(1000, 10, mean_budget, kind, args.trials, args.seed)
-        for kind in MECHANISM_ORDER
-    ]
+    reports = mean_experiment(1000, 10, mean_budget, MECHANISM_ORDER, args.trials, args.seed)
     print_table(
         f"mean estimation, n=1000 d=10 eps={mean_budget.epsilon} "
         f"delta={mean_budget.delta} (l2 error)",
@@ -43,10 +40,7 @@ def main() -> None:
 
     hist_budget = PrivacyBudget(0.1, 1e-6)
     _, rows = synthetic_census_rows(args.rows, args.seed)
-    reports = [
-        histogram_experiment(rows, hist_budget, kind, args.trials, args.seed)
-        for kind in MECHANISM_ORDER
-    ]
+    reports = histogram_experiment(rows, hist_budget, MECHANISM_ORDER, args.trials, args.seed)
     print_table(
         f"histogram, {args.rows} synthetic records eps={hist_budget.epsilon} "
         f"delta={hist_budget.delta} (MSE)",

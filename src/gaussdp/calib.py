@@ -275,19 +275,28 @@ def _zero_sensitivity_result(kind: Mechanism) -> CalibrationResult:
 # classical calibrations
 
 
+def _log_ratio(c: float, delta: float) -> float:
+    """ln(c / delta), also where c / delta overflows (subnormal delta); the
+    difference ln c - ln delta is used only there, as it rounds differently."""
+    ratio = c / delta
+    if ratio < math.inf:
+        return math.log(ratio)
+    return math.log(c) - math.log(delta)
+
+
 def sigma_dwork2006(budget: PrivacyBudget, sens: Sensitivity) -> NoiseScale:
     """sqrt(2 ln(2/delta)) * Delta / eps.
 
     No DP guarantee is implied for eps > 1; see ``failure_threshold`` for
     the eps beyond which this noise provably fails.
     """
-    sigma = math.sqrt(2.0 * math.log(2.0 / budget.delta)) * sens.l2 / budget.epsilon
+    sigma = math.sqrt(2.0 * _log_ratio(2.0, budget.delta)) * sens.l2 / budget.epsilon
     return NoiseScale(sigma, Mechanism.DWORK2006)
 
 
 def sigma_dwork2014(budget: PrivacyBudget, sens: Sensitivity) -> NoiseScale:
     """sqrt(2 ln(1.25/delta)) * Delta / eps; same eps <= 1 caveat as above."""
-    sigma = math.sqrt(2.0 * math.log(1.25 / budget.delta)) * sens.l2 / budget.epsilon
+    sigma = math.sqrt(2.0 * _log_ratio(1.25, budget.delta)) * sens.l2 / budget.epsilon
     return NoiseScale(sigma, Mechanism.DWORK2014)
 
 
@@ -435,6 +444,11 @@ def dp_opt_zero_eps(delta: float, sens: Sensitivity) -> NoiseScale:
     if sens.l2 == 0.0:
         return NoiseScale(0.0, Mechanism.DP_OPT)
     sigma = sens.l2 / (2.0 * _SQRT2 * inverf(delta))
+    if sigma == math.inf:
+        raise ValueError(
+            f"delta={delta!r} is too small: the (0, delta)-DP sigma at "
+            f"sensitivity {sens.l2!r} exceeds the double range"
+        )
     return NoiseScale(sigma, Mechanism.DP_OPT)
 
 

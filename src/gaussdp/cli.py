@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -189,25 +190,23 @@ def cmd_compose(args) -> None:
 
 def cmd_experiment(args) -> None:
     budget = _budget(args)
-    if args.experiment_kind == "hist":
-        _, rows = read_categorical_csv(args.csv)
-    records = []
-    for kind in MECHANISM_ORDER:
-        if args.experiment_kind == "mean":
-            report = mean_experiment(
-                args.n, args.d, budget, kind, args.trials, args.seed,
-                sensitivity=args.sens,
-            )
-        else:
-            report = histogram_experiment(rows, budget, kind, args.trials, args.seed)
-        records.append(
-            {
-                "mechanism": str(report.mechanism),
-                "trials": report.trials,
-                "metric": report.metric,
-                "metric_stderr": report.metric_stderr,
-            }
+    if args.experiment_kind == "mean":
+        reports = mean_experiment(
+            args.n, args.d, budget, MECHANISM_ORDER, args.trials, args.seed,
+            sensitivity=args.sens,
         )
+    else:
+        _, rows = read_categorical_csv(args.csv)
+        reports = histogram_experiment(rows, budget, MECHANISM_ORDER, args.trials, args.seed)
+    records = [
+        {
+            "mechanism": str(report.mechanism),
+            "trials": report.trials,
+            "metric": report.metric,
+            "metric_stderr": report.metric_stderr,
+        }
+        for report in reports
+    ]
     _emit(records, ["mechanism", "trials", "metric", "metric_stderr"], args)
 
 
@@ -291,9 +290,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process; parse_args keeps no state between calls
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args.func(args)
     except (ValueError, ArithmeticError, OSError) as exc:

@@ -4,10 +4,12 @@ Seeded noise sampling, the synthetic mean-estimation and categorical
 histogram experiments, and a Monte-Carlo sampler of the privacy-loss
 random variable (the empirical oracle for the analytic profiles).
 
-Experiment trials draw their noise from substreams keyed by (seed, trial
-index), so a report is a pure function of its arguments, and two mechanisms
-run with the same seed see the same underlying standard-normal draws (common
-random numbers; only the scale sigma differs).
+An experiment runs a list of mechanisms at once: it builds its data once and
+draws each trial's standard-normal vector once, from a substream keyed by
+(seed, trial index), and every mechanism scales that same vector by its own
+sigma (common random numbers).  A report is a pure function of its
+arguments, and a mechanism's report does not depend on which other
+mechanisms share the run.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -56,10 +58,12 @@ class NoisySample:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Per-mechanism experiment outcome: metric is the mean l2 error (mean
-    experiment) or MSE (histogram experiment), with its standard error."""
+    """Per-mechanism experiment outcome: the noise scale sigma used, and the
+    metric, the mean l2 error (mean experiment) or MSE (histogram experiment),
+    with its standard error."""
 
     mechanism: Mechanism
+    sigma: float
     trials: int
     metric: float
     metric_stderr: float
@@ -136,17 +140,39 @@ def privacy_loss_sample(
 # experiments
 
 
-def _trial_noise(dim: int, sigma: float, seed: int, trial: int) -> np.ndarray:
-    # Trials share the standard-normal substream across mechanism kinds
-    # (common random numbers); only the scale differs.
-    return sigma * standard_normal(dim, generator(seed, _TRIAL_STREAM_BASE + trial))
+def _calibrate_all(
+    kinds: Iterable[Mechanism], budget: PrivacyBudget, sens: Sensitivity
+) -> tuple[tuple[Mechanism, ...], list[float]]:
+    # every sigma up front, so a domain error raises before any other work
+    if isinstance(kinds, str):
+        raise TypeError("kinds must be a sequence of mechanisms, not a single one")
+    kinds = tuple(Mechanism(k) for k in kinds)
+    return kinds, [calibrate(k, budget, sens).sigma for k in kinds]
 
 
-def _report(kind: Mechanism, errors: np.ndarray) -> ExperimentReport:
+def _shared_trials(
+    kinds: tuple[Mechanism, ...],
+    sigmas: list[float],
+    truth: np.ndarray,
+    trials: int,
+    seed: int,
+    error: Callable[[np.ndarray, np.ndarray], float],
+) -> tuple[ExperimentReport, ...]:
+    # one standard-normal draw per trial, scaled by every sigma
+    errors = np.empty((len(sigmas), trials))
+    for t in range(trials):
+        z = standard_normal(truth.size, generator(seed, _TRIAL_STREAM_BASE + t))
+        for i, sigma in enumerate(sigmas):
+            errors[i, t] = error(truth + sigma * z, truth)
+    return tuple(_report(*entry) for entry in zip(kinds, sigmas, errors))
+
+
+def _report(kind: Mechanism, sigma: float, errors: np.ndarray) -> ExperimentReport:
     trials = errors.size
     stderr = float(np.std(errors, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return ExperimentReport(
         mechanism=kind,
+        sigma=sigma,
         trials=trials,
         metric=float(np.mean(errors)),
         metric_stderr=stderr,
@@ -157,48 +183,47 @@ def mean_experiment(
     n: int,
     d: int,
     budget: PrivacyBudget,
-    kind: Mechanism,
+    kinds: Iterable[Mechanism],
     trials: int,
     seed: int,
     sensitivity: float | None = None,
-) -> ExperimentReport:
-    """Private mean estimation on a synthetic dataset; reports the l2 error.
+) -> tuple[ExperimentReport, ...]:
+    """Private mean estimation on a synthetic dataset; reports the l2 error
+    of each mechanism in ``kinds``, in that order.
 
     The dataset is n points x_i = x_0 + xi_i with standard-Gaussian center
     coordinates and xi_i uniform on [-1/2, 1/2]^d, fixed per seed; noise is
-    resampled each trial.  Bounded (replace-one) neighboring is assumed, with
-    default sensitivity sqrt(d)/n (points lie in an l-infinity ball of radius
-    1), overridable via ``sensitivity``.
+    resampled each trial and shared by all mechanisms.  Bounded (replace-one)
+    neighboring is assumed, with default sensitivity sqrt(d)/n (points lie in
+    an l-infinity ball of radius 1), overridable via ``sensitivity``.
     """
     n, d, trials = int(n), int(d), int(trials)
     if n < 1 or d < 1 or trials < 1:
         raise ValueError("n, d, and trials must all be >= 1")
-    kind = Mechanism(kind)
     delta_q = math.sqrt(d) / n if sensitivity is None else float(sensitivity)
-    sigma = calibrate(kind, budget, Sensitivity(delta_q)).sigma
+    kinds, sigmas = _calibrate_all(kinds, budget, Sensitivity(delta_q))
 
     # dataset fixed per seed; noise resampled per trial
     data_gen = generator(seed, _DATASET_STREAM)
     center = standard_normal(d, data_gen)
     points = center + (data_gen.random((n, d)) - 0.5)
     answer = QueryAnswer(points.mean(axis=0))
-
-    errors = np.empty(trials)
-    for t in range(trials):
-        noisy = answer.values + _trial_noise(d, sigma, seed, t)
-        errors[t] = float(np.linalg.norm(noisy - answer.values))
-    return _report(kind, errors)
+    return _shared_trials(
+        kinds, sigmas, answer.values, trials, seed,
+        lambda noisy, truth: float(np.linalg.norm(noisy - truth)),
+    )
 
 
 def histogram_experiment(
     rows: Sequence[Sequence[str]],
     budget: PrivacyBudget,
-    kind: Mechanism,
+    kinds: Iterable[Mechanism],
     trials: int,
     seed: int,
-) -> ExperimentReport:
+) -> tuple[ExperimentReport, ...]:
     """Private histogram over the cross-product of observed categorical
-    values; reports the MSE over cells.
+    values; reports the MSE over cells of each mechanism in ``kinds``, in
+    that order.
 
     Unbounded (add/remove) neighboring, so the count query has sensitivity 1.
     Cells that occur in no record still exist (and receive noise): the domain
@@ -207,14 +232,12 @@ def histogram_experiment(
     trials = int(trials)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    kind = Mechanism(kind)
+    kinds, sigmas = _calibrate_all(kinds, budget, Sensitivity(1.0))
     counts = histogram_counts(rows)
-    sigma = calibrate(kind, budget, Sensitivity(1.0)).sigma
-    errors = np.empty(trials)
-    for t in range(trials):
-        noisy = counts + _trial_noise(counts.size, sigma, seed, t)
-        errors[t] = float(np.mean((noisy - counts) ** 2))
-    return _report(kind, errors)
+    return _shared_trials(
+        kinds, sigmas, counts, trials, seed,
+        lambda noisy, truth: float(np.mean((noisy - truth) ** 2)),
+    )
 
 
 _MAX_HISTOGRAM_CELLS = 10_000_000

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .calib import Mechanism, NoiseScale, PrivacyBudget, Sensitivity, _check_range
+from .calib import Mechanism, NoiseScale, PrivacyBudget, Sensitivity, _check_range, _log_ratio
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -88,7 +88,7 @@ def sigma_via_cdp_route(budget: PrivacyBudget, sens: Sensitivity) -> NoiseScale:
     """
     if sens.l2 == 0.0:
         return NoiseScale(0.0, Mechanism.CDP_ROUTE)
-    log_inv_delta = math.log(1.0 / budget.delta)
+    log_inv_delta = _log_ratio(1.0, budget.delta)
     sigma = (
         sens.l2
         * (math.sqrt(log_inv_delta) + math.sqrt(log_inv_delta + budget.epsilon))

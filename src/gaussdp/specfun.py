@@ -87,7 +87,9 @@ def _erfcx_nonneg(x: float) -> float:
     s2 = 2.0 * s
     for a in _ERFCX_CHEB[:0:-1]:
         b1, b2 = s2 * b1 - b2 + a, b1
-    return (s * b1 - b2 + 0.5 * _ERFCX_CHEB[0]) / (1.0 + 2.0 * x)
+    # divided by 1 + 2x as 1/2 over 1/2 + x: the same double (scaling by 2 is
+    # exact), but 1 + 2x overflows near x = 9e307 and the result would be 0
+    return 0.5 * (s * b1 - b2 + 0.5 * _ERFCX_CHEB[0]) / (0.5 + x)
 
 
 def _erf_series(x: float) -> float:

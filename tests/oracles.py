@@ -23,6 +23,10 @@ def oracle_erfc(x):
 
 def oracle_erfcx(x):
     x = mpf(repr(float(x)))
+    if x > 1e10:
+        # exp(x^2) erfc(x) goes wrong in mpmath from about x = 1e50 (and
+        # raises from 1e160); erfcx(x) = U(1/2, 1/2, x^2) / sqrt(pi) holds
+        return mp.hyperu(0.5, 0.5, x * x) / mp.sqrt(mp.pi)
     return _exp(x * x) * _erfc(x)
 
 

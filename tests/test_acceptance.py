@@ -393,10 +393,9 @@ def test_criterion_9_mean_experiment():
         Mechanism.DWORK2014,
         Mechanism.DWORK2006,
     )
-    reports = {
-        kind: mean_experiment(1000, 10, budget, kind, trials=200, seed=6)
-        for kind in chain
-    }
+    reports = dict(
+        zip(chain, mean_experiment(1000, 10, budget, chain, trials=200, seed=6))
+    )
     for first, second in zip(chain, chain[1:]):
         gap = reports[second].metric - reports[first].metric
         combined = math.hypot(
@@ -407,8 +406,8 @@ def test_criterion_9_mean_experiment():
                 f"{first}->{second}: gap {gap:.4f} <= combined SE {combined:.4f}"
             )
 
-    long_run = mean_experiment(
-        1000, 10, budget, Mechanism.DP_OPT, trials=1000, seed=6
+    (long_run,) = mean_experiment(
+        1000, 10, budget, (Mechanism.DP_OPT,), trials=1000, seed=6
     )
     from gaussdp.calib import calibrate
 

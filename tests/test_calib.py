@@ -12,6 +12,7 @@ import random
 
 import pytest
 from hypothesis import given, strategies as st
+from mpmath import mp, mpf
 
 from gaussdp.calib import (
     MECHANISM_ORDER,
@@ -100,6 +101,20 @@ def test_dwork2006_linear_in_sensitivity():
 )
 def test_dwork2014_misuse_rows(eps, delta, expected):
     assert abs(sigma_dwork2014(budget(eps, delta), UNIT).sigma - expected) <= 1e-4
+
+
+@pytest.mark.parametrize("delta", [0.3, 1e-5, 1e-300, 1e-310, 5e-324])
+@pytest.mark.parametrize("kind", ["dwork2006", "dwork2014", "cdp-route"])
+def test_log_delta_forms_at_subnormal_delta(kind, delta):
+    # c / delta overflows for subnormal delta; ln c - ln delta stays finite
+    eps = 0.5
+    log_inv = -mp.log(mpf(delta))  # exact: repr(5e-324) is not the double
+    if kind == "cdp-route":
+        true = (mp.sqrt(log_inv) + mp.sqrt(log_inv + eps)) / (mp.sqrt(2) * eps)
+    else:
+        c = mpf(2) if kind == "dwork2006" else mpf("1.25")
+        true = mp.sqrt(2 * (mp.log(c) + log_inv)) / eps
+    assert rel_err(calibrate(kind, budget(eps, delta), UNIT).sigma, true) <= 1e-14
 
 
 # --- profiles ---------------------------------------------------------------
@@ -427,6 +442,13 @@ def test_zero_eps_degenerate():
     assert dp_opt_zero_eps(0.01, Sensitivity(0.0)).sigma == 0.0
     with pytest.raises(ValueError):
         dp_opt_zero_eps(1.0, UNIT)
+
+
+@pytest.mark.parametrize("delta", [1e-310, 5e-324])
+def test_zero_eps_subnormal_delta_names_delta(delta):
+    # the exact sigma exceeds the double range; the error must say why
+    with pytest.raises(ValueError, match=r"^delta=.* is too small"):
+        dp_opt_zero_eps(delta, UNIT)
 
 
 # --- failure frontier -------------------------------------------------------

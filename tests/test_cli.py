@@ -184,6 +184,27 @@ def test_region_names_delta_bound(capsys, delta):
     assert "delta must be in (0, 1)" in err
 
 
+def test_parser_built_once_and_reused(capsys, monkeypatch):
+    built = []
+    real = gaussdp.cli.build_parser
+
+    def counting_build():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(gaussdp.cli, "build_parser", counting_build)
+    gaussdp.cli._parser.cache_clear()
+    calibrate = ("calibrate", "--mech", "dp-opt", "--eps", "0.5", "--delta", "1e-6")
+    first = run_cli(capsys, *calibrate)
+    code, _, err = run_cli(capsys, "region", "--delta-grid", "0")
+    assert code == 2
+    assert "delta must be in (0, 1)" in err
+    again = run_cli(capsys, *calibrate)
+    assert first[0] == 0
+    assert again == first
+    assert built == [1]
+
+
 def test_compose_record(capsys):
     code, out, _ = run_cli(
         capsys, "compose", "--term", "1:1", "--term", "2:2", "--term", "3:3",

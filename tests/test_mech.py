@@ -1,11 +1,16 @@
 """Seeded sampling, the experiments, and the Monte-Carlo privacy-loss oracle."""
 
 import math
+import runpy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gaussdp.mech
 from gaussdp.calib import (
+    MECHANISM_ORDER,
     Mechanism,
     NoiseScale,
     PrivacyBudget,
@@ -152,10 +157,9 @@ def test_dp_empirical_soundness():
 
 def test_mean_experiment_dp_chain_ordering():
     budget = PrivacyBudget(0.1, 1e-4)
-    reports = {
-        kind: mean_experiment(1000, 10, budget, kind, trials=200, seed=6)
-        for kind in DP_CHAIN
-    }
+    reports = dict(
+        zip(DP_CHAIN, mean_experiment(1000, 10, budget, DP_CHAIN, trials=200, seed=6))
+    )
     metrics = [reports[k].metric for k in DP_CHAIN]
     assert all(a < b for a, b in zip(metrics, metrics[1:]))
     for first, second in zip(DP_CHAIN, DP_CHAIN[1:]):
@@ -168,7 +172,7 @@ def test_mean_experiment_dp_chain_ordering():
 
 def test_mean_experiment_chi_square_magnitude():
     budget = PrivacyBudget(0.5, 1e-4)
-    report = mean_experiment(1000, 10, budget, Mechanism.DP_OPT, trials=1000, seed=3)
+    (report,) = mean_experiment(1000, 10, budget, (Mechanism.DP_OPT,), trials=1000, seed=3)
     sigma = calibrate(
         Mechanism.DP_OPT, budget, Sensitivity(math.sqrt(10) / 1000)
     ).sigma
@@ -195,21 +199,21 @@ def test_sensitivity_halves_exactly_with_doubled_n():
 
 def test_mean_experiment_reproducible():
     budget = PrivacyBudget(0.1, 1e-4)
-    a = mean_experiment(200, 5, budget, Mechanism.MECH1, trials=20, seed=17)
-    b = mean_experiment(200, 5, budget, Mechanism.MECH1, trials=20, seed=17)
+    a = mean_experiment(200, 5, budget, (Mechanism.MECH1,), trials=20, seed=17)
+    b = mean_experiment(200, 5, budget, (Mechanism.MECH1,), trials=20, seed=17)
     assert a == b
 
 
 def test_mean_experiment_sensitivity_override():
     budget = PrivacyBudget(0.1, 1e-4)
-    a = mean_experiment(100, 4, budget, Mechanism.MECH2, 10, 0, sensitivity=1.0)
-    b = mean_experiment(100, 4, budget, Mechanism.MECH2, 10, 0, sensitivity=2.0)
+    (a,) = mean_experiment(100, 4, budget, (Mechanism.MECH2,), 10, 0, sensitivity=1.0)
+    (b,) = mean_experiment(100, 4, budget, (Mechanism.MECH2,), 10, 0, sensitivity=2.0)
     assert abs(b.metric - 2.0 * a.metric) <= 1e-12 * b.metric
 
 
 def test_mean_experiment_propagates_domain_errors():
     with pytest.raises(ValueError):
-        mean_experiment(100, 4, PrivacyBudget(1, 0.6), Mechanism.MECH2, 10, 0)
+        mean_experiment(100, 4, PrivacyBudget(1, 0.6), (Mechanism.MECH2,), 10, 0)
 
 
 # --- histogram experiment ---------------------------------------------------
@@ -232,7 +236,7 @@ def test_histogram_counts_errors():
 def test_histogram_mse_magnitude():
     _, rows = synthetic_census_rows(500, seed=4)
     budget = PrivacyBudget(0.5, 1e-6)
-    report = histogram_experiment(rows, budget, Mechanism.MECH4, trials=1000, seed=5)
+    (report,) = histogram_experiment(rows, budget, (Mechanism.MECH4,), trials=1000, seed=5)
     sigma = calibrate(Mechanism.MECH4, budget, UNIT).sigma
     assert abs(report.metric - sigma * sigma) <= 0.10 * sigma * sigma
 
@@ -241,8 +245,8 @@ def test_histogram_dp_chain_ordering():
     _, rows = synthetic_census_rows(2000, seed=6)
     budget = PrivacyBudget(0.1, 1e-6)
     metrics = [
-        histogram_experiment(rows, budget, kind, trials=200, seed=2).metric
-        for kind in DP_CHAIN
+        report.metric
+        for report in histogram_experiment(rows, budget, DP_CHAIN, trials=200, seed=2)
     ]
     assert all(a < b for a, b in zip(metrics, metrics[1:]))
 
@@ -250,9 +254,89 @@ def test_histogram_dp_chain_ordering():
 def test_histogram_reproducible():
     _, rows = synthetic_census_rows(100, seed=0)
     budget = PrivacyBudget(1.0, 1e-4)
-    a = histogram_experiment(rows, budget, Mechanism.DP_OPT, trials=10, seed=3)
-    b = histogram_experiment(rows, budget, Mechanism.DP_OPT, trials=10, seed=3)
+    a = histogram_experiment(rows, budget, (Mechanism.DP_OPT,), trials=10, seed=3)
+    b = histogram_experiment(rows, budget, (Mechanism.DP_OPT,), trials=10, seed=3)
     assert a == b
+
+
+# --- shared runs over several mechanisms -------------------------------------
+
+
+def _counting_generator(monkeypatch):
+    calls = []
+    real = gaussdp.mech.generator
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(gaussdp.mech, "generator", counting)
+    return calls
+
+
+def test_mean_experiment_shared_run_matches_single_runs():
+    budget = PrivacyBudget(0.3, 1e-5)
+    shared = mean_experiment(300, 6, budget, MECHANISM_ORDER, trials=25, seed=9)
+    assert [r.mechanism for r in shared] == list(MECHANISM_ORDER)
+    for kind, report in zip(MECHANISM_ORDER, shared):
+        assert (report,) == mean_experiment(300, 6, budget, (kind,), trials=25, seed=9)
+        sens = Sensitivity(math.sqrt(6) / 300)
+        assert report.sigma == calibrate(kind, budget, sens).sigma
+
+
+def test_histogram_experiment_shared_run_matches_single_runs():
+    _, rows = synthetic_census_rows(300, seed=8)
+    budget = PrivacyBudget(0.2, 1e-6)
+    shared = histogram_experiment(rows, budget, MECHANISM_ORDER, trials=25, seed=4)
+    assert [r.mechanism for r in shared] == list(MECHANISM_ORDER)
+    for kind, report in zip(MECHANISM_ORDER, shared):
+        assert (report,) == histogram_experiment(rows, budget, (kind,), trials=25, seed=4)
+        assert report.sigma == calibrate(kind, budget, UNIT).sigma
+
+
+def test_shared_run_builds_one_generator_per_trial(monkeypatch):
+    _, rows = synthetic_census_rows(100, seed=1)
+    calls = _counting_generator(monkeypatch)
+    budget = PrivacyBudget(0.5, 1e-4)
+    histogram_experiment(rows, budget, MECHANISM_ORDER, trials=7, seed=2)
+    assert len(calls) == 7
+    calls.clear()
+    # the mean experiment also draws its dataset from one generator
+    mean_experiment(50, 3, budget, MECHANISM_ORDER, trials=7, seed=2)
+    assert len(calls) == 8
+
+
+def test_shared_run_calibrates_before_any_work(monkeypatch):
+    # mech2 rejects delta >= 0.5, and no data or noise is built before that
+    calls = _counting_generator(monkeypatch)
+    budget = PrivacyBudget(1.0, 0.6)
+    with pytest.raises(ValueError, match="delta < 0.5"):
+        mean_experiment(50, 3, budget, MECHANISM_ORDER, trials=3, seed=0)
+    with pytest.raises(ValueError, match="delta < 0.5"):
+        histogram_experiment([()], budget, MECHANISM_ORDER, trials=3, seed=0)
+    assert calls == []
+
+
+def test_experiments_reject_a_single_mechanism():
+    budget = PrivacyBudget(0.5, 1e-4)
+    with pytest.raises(TypeError):
+        mean_experiment(50, 3, budget, Mechanism.DP_OPT, trials=3, seed=0)
+    with pytest.raises(TypeError):
+        histogram_experiment([("a",)], budget, "mech1", trials=3, seed=0)
+
+
+def test_run_experiments_script(capsys, monkeypatch):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_experiments.py"
+    argv = [str(script), "--trials", "3", "--rows", "200", "--seed", "1"]
+    monkeypatch.setattr(sys, "argv", argv)
+    runpy.run_path(str(script), run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    tables = [i for i, line in enumerate(lines) if line.startswith("mechanism")]
+    assert len(tables) == 2
+    for start in tables:
+        rows = [line.split() for line in lines[start + 1 : start + 10]]
+        assert [row[0] for row in rows] == [str(kind) for kind in MECHANISM_ORDER]
+        assert all(float(row[1]) > 0.0 for row in rows)
 
 
 # --- categorical record streams ---------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from gaussdp.specfun import erf, erfc, erfcx, inverf, inverfc, inverfc_seed
 
-from oracles import oracle_erf, oracle_erfc, rel_err
+from oracles import oracle_erf, oracle_erfc, oracle_erfcx, rel_err
 
 # frozen 50-digit oracle values (see oracles.py)
 ERF_1 = 0.8427007929497148693412206350826092592960669979663
@@ -60,6 +60,15 @@ def test_erfcx_thirty():
     # two-term asymptotic series 1/(x sqrt(pi)) (1 - 1/(2 x^2)) at x = 30
     asym = (1.0 - 1.0 / 1800.0) / (30.0 * math.sqrt(math.pi))
     assert abs(asym - erfcx(30.0)) <= 1e-4 * erfcx(30.0)
+
+
+@pytest.mark.parametrize("x", [1e300, 1e308, 1.7e308])
+def test_erfcx_huge_argument(x):
+    # 1 + 2x overflows near 9e307; the answer is a tiny (at 1e308, subnormal)
+    # positive number, not 0
+    got = erfcx(x)
+    assert got > 0.0
+    assert rel_err(got, oracle_erfcx(x)) <= 1e-13
 
 
 def test_erfcx_defining_identity():
