@@ -14,6 +14,8 @@ import csv
 import functools
 import io
 import json
+import os
+import stat
 import sys
 
 from . import __version__
@@ -83,8 +85,20 @@ def _emit(records: list[dict], fieldnames: list[str], args) -> None:
     if args.output == "-":
         sys.stdout.write(text)
     else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_over(args.output, text)
+
+
+def _write_over(path: str, text: str) -> None:
+    """Leave ``path`` holding ``text``, as ``open(path, "w")`` would, but
+    write over the old contents and trim them after instead of truncating
+    first: on ext4 a file truncated to zero and written again starts
+    writeback when closed (the replace-via-truncate safeguard), a disk
+    request each time a command rewrites its output file."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "w", encoding="utf-8") as fh:
+        fh.write(text)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
 
 
 def _budget(args) -> PrivacyBudget:

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import os
 
 import pytest
 
@@ -312,6 +313,35 @@ def test_output_file(capsys, tmp_path):
     assert out == ""
     (row,) = parse_csv(path.read_text(encoding="utf-8"))
     assert row["mechanism"] == "mech4"
+
+
+def test_output_file_written_over_without_truncating(capsys, tmp_path, monkeypatch):
+    argv = ("calibrate", "--mech", "mech4", "--eps", "1", "--delta", "1e-3")
+    _, table, _ = run_cli(capsys, *argv)
+    path = tmp_path / "out.csv"
+    path.write_text("x" * 10_000 + "\n", encoding="utf-8")
+    flags = []
+    real_open = os.open
+
+    def recording_open(file, flag, *rest):
+        flags.append(flag)
+        return real_open(file, flag, *rest)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    for _ in range(2):  # over a longer old file, then over the same table
+        code, out, _ = run_cli(capsys, *argv, "--output", str(path))
+        assert (code, out) == (0, "")
+        assert path.read_text(encoding="utf-8") == table
+    assert len(flags) == 2
+    assert not any(flag & os.O_TRUNC for flag in flags)
+
+
+def test_output_to_a_device(capsys):
+    code, out, _ = run_cli(
+        capsys, "calibrate", "--mech", "mech4", "--eps", "1", "--delta", "1e-3",
+        "--output", os.devnull,
+    )
+    assert (code, out) == (0, "")
 
 
 def test_usage_error_exits_2(capsys):
