@@ -12,9 +12,13 @@ Conventions used throughout:
   * Every noise amount has the shape sigma = (u + sqrt(u^2 + eps)) * Delta /
     (eps * sqrt(2)) for some auxiliary root u; for u < 0 this is evaluated in
     the equivalent cancellation-free form Delta / (sqrt(2) * (sqrt(u^2+eps) - u)).
-  * Products exp(eps) * erfc(sqrt(u^2 + eps)) are always formed as
-    erfcx(sqrt(u^2 + eps)) * exp(-u^2); the exponents cancel exactly, so the
-    whole eps range [1e-6, 1e6] works without overflow.
+  * Every difference of error functions is taken from one method.  The DP
+    residual and profile erfc(u) - exp(eps) erfc(s), s = sqrt(u^2 + eps),
+    are e^{-u^2} (erfcx(u) - erfcx(s)) for u >= 0 and 2 - e^{-u^2}
+    (erfcx(-u) + erfcx(s)) for u < 0: exp(eps) cancels exactly, so no eps
+    overflows, and where s - u is short the erfcx difference is integrated
+    instead of subtracted (``_erfcx_drop``).  The pDP residual erfc(u) +
+    erfc(s) is a sum, free of cancellation.
   * Solvers shrink a sign-change bracket of a strictly decreasing residual,
     by Newton steps on its logarithm or else by bisection, and return the
     upper end of a final bracket narrower than tol, so the reported sigma
@@ -149,14 +153,42 @@ def _sigma_from_root(u: float, eps: float, l2: float) -> float:
     return l2 / (_SQRT2 * (s - u))
 
 
-def _exp_eps_erfc(u: float, eps: float) -> float:
-    # exp(eps) * erfc(sqrt(u^2 + eps)), overflow-safe for any eps.
-    return erfcx(math.sqrt(u * u + eps)) * math.exp(-u * u)
+# Below this width b - a, erfcx(a) - erfcx(b) is integrated rather than
+# subtracted; a dp-opt request with eps >= 1e-2 and delta >= 1e-12 never
+# comes this close (b - a >= 9.8e-4 there).
+_SHORT_STEP = 1e-4
+# the 2-point Gauss-Legendre nodes on [0, 1] lie this far from the middle
+_GAUSS_OFFSET = 0.5 / math.sqrt(3.0)
+
+
+def _erfcx_drop(a: float, eps: float) -> float:
+    """erfcx(a) - erfcx(b) for a >= 0 and b = sqrt(a^2 + eps); positive.
+
+    Subtracting the two erfcx values magnifies their rounding by
+    erfcx(a) / drop, about 2a^2 / eps for large a, as b - a = eps / (a + b)
+    shrinks; below _SHORT_STEP the drop is
+    -int_a^b erfcx'(t) dt, erfcx'(t) = 2t erfcx(t) - 2/sqrt(pi), by 2-point
+    Gauss-Legendre, whose relative error, of order (b - a)^4 / 4320, is far
+    below an ulp.
+    """
+    b = math.sqrt(a * a + eps)
+    width = eps / (a + b)
+    if width >= _SHORT_STEP:
+        return erfcx(a) - erfcx(b)
+    mid = a + 0.5 * width
+    left, right = mid - _GAUSS_OFFSET * width, mid + _GAUSS_OFFSET * width
+    return width * (_TWO_OVER_SQRT_PI - left * erfcx(left) - right * erfcx(right))
 
 
 def _dp_equation(u: float, eps: float) -> float:
-    # r(u) = erfc(u) - exp(eps)*erfc(sqrt(u^2+eps)); strictly decreasing in u.
-    return erfc(u) - _exp_eps_erfc(u, eps)
+    # r(u) = erfc(u) - exp(eps)*erfc(s), s = sqrt(u^2+eps); strictly
+    # decreasing in u.  Both terms share the factor e^{-u^2}, so r is formed
+    # from erfcx alone: e^{-u^2} (erfcx(u) - erfcx(s)) for u >= 0, where the
+    # drop is positive by construction, and 2 - e^{-u^2} (erfcx(-u) +
+    # erfcx(s)) for u < 0.
+    if u >= 0.0:
+        return math.exp(-u * u) * _erfcx_drop(u, eps)
+    return 2.0 - math.exp(-u * u) * (erfcx(-u) + erfcx(math.sqrt(u * u + eps)))
 
 
 def _dp_slope(u: float, eps: float) -> float:
@@ -259,6 +291,23 @@ def _solve_decreasing(fn, lo, hi, target, tol, slope=None, fn_lo=None, fn_hi=Non
     return hi, fn_hi, evaluations
 
 
+def _noise(
+    sigma: float, kind: Mechanism, budget: PrivacyBudget, sens: Sensitivity
+) -> NoiseScale:
+    """NoiseScale(sigma, kind) for a sigma computed at sensitivity sens.
+
+    Every calibration is linear in the sensitivity, so a sigma beyond the
+    double range is reported as a sensitivity too large for the budget.
+    """
+    if sigma == math.inf:
+        raise ValueError(
+            f"sensitivity {sens.l2!r} is too large for {kind} at "
+            f"epsilon={budget.epsilon!r}, delta={budget.delta!r}: sigma "
+            "exceeds the double range"
+        )
+    return NoiseScale(sigma, kind)
+
+
 def _zero_sensitivity_result(kind: Mechanism) -> CalibrationResult:
     # Zero-sensitivity queries are exactly answerable: sigma = 0, no solving.
     return CalibrationResult(
@@ -291,13 +340,13 @@ def sigma_dwork2006(budget: PrivacyBudget, sens: Sensitivity) -> NoiseScale:
     the eps beyond which this noise provably fails.
     """
     sigma = math.sqrt(2.0 * _log_ratio(2.0, budget.delta)) * sens.l2 / budget.epsilon
-    return NoiseScale(sigma, Mechanism.DWORK2006)
+    return _noise(sigma, Mechanism.DWORK2006, budget, sens)
 
 
 def sigma_dwork2014(budget: PrivacyBudget, sens: Sensitivity) -> NoiseScale:
     """sqrt(2 ln(1.25/delta)) * Delta / eps; same eps <= 1 caveat as above."""
     sigma = math.sqrt(2.0 * _log_ratio(1.25, budget.delta)) * sens.l2 / budget.epsilon
-    return NoiseScale(sigma, Mechanism.DWORK2014)
+    return _noise(sigma, Mechanism.DWORK2014, budget, sens)
 
 
 # ---------------------------------------------------------------------------
@@ -313,14 +362,7 @@ def _dp_delta_unit(sigma_over_l2: float, eps: float) -> float:
     a = (eps * sigma_over_l2 - 0.5 / sigma_over_l2) / _SQRT2
     if not -_PROFILE_SATURATES <= a <= _PROFILE_SATURATES:
         return 0.0 if a > 0.0 else 1.0
-    if a >= 0.0:
-        # (1/2) e^{-a^2} (erfcx(a) - erfcx(sqrt(a^2+eps))): the difference of
-        # the two decreasing erfcx values is positive by construction, so the
-        # profile never goes negative in floating point.
-        return 0.5 * math.exp(-a * a) * (erfcx(a) - erfcx(math.sqrt(a * a + eps)))
-    return 1.0 - 0.5 * math.exp(-a * a) * (
-        erfcx(-a) + erfcx(math.sqrt(a * a + eps))
-    )
+    return 0.5 * _dp_equation(a, eps)
 
 
 def _pdp_delta_unit(sigma_over_l2: float, eps: float) -> float:
@@ -373,8 +415,9 @@ def _mech1_root(eps: float, delta: float) -> float:
     if t >= 2.0:
         return 0.0
     u = inverfc(t)
-    # ratio exp(eps)*erfc(sqrt(u^2+eps)) / t, with t = erfc(u)
-    ratio = _exp_eps_erfc(u, eps) / t
+    # ratio exp(eps)*erfc(sqrt(u^2+eps)) / t, with t = erfc(u); the product
+    # is formed as erfcx(sqrt(u^2+eps)) e^{-u^2}, which overflows for no eps
+    ratio = erfcx(math.sqrt(u * u + eps)) * math.exp(-u * u) / t
     denom = 1.0 - ratio
     if denom > 0.0:
         arg = 2.0 * delta / denom
@@ -401,7 +444,8 @@ def sigma_mech1(budget: PrivacyBudget, sens: Sensitivity) -> NoiseScale:
     if sens.l2 == 0.0:
         return NoiseScale(0.0, Mechanism.MECH1)
     b = _mech1_root(budget.epsilon, budget.delta)
-    return NoiseScale(_sigma_from_root(b, budget.epsilon, sens.l2), Mechanism.MECH1)
+    sigma = _sigma_from_root(b, budget.epsilon, sens.l2)
+    return _noise(sigma, Mechanism.MECH1, budget, sens)
 
 
 def sigma_mech2(budget: PrivacyBudget, sens: Sensitivity) -> NoiseScale:
@@ -414,7 +458,8 @@ def sigma_mech2(budget: PrivacyBudget, sens: Sensitivity) -> NoiseScale:
     if sens.l2 == 0.0:
         return NoiseScale(0.0, Mechanism.MECH2)
     c = inverfc_seed(2.0 * budget.delta)
-    return NoiseScale(_sigma_from_root(c, budget.epsilon, sens.l2), Mechanism.MECH2)
+    sigma = _sigma_from_root(c, budget.epsilon, sens.l2)
+    return _noise(sigma, Mechanism.MECH2, budget, sens)
 
 
 def sigma_mech3(budget: PrivacyBudget, sens: Sensitivity) -> NoiseScale:
@@ -422,7 +467,8 @@ def sigma_mech3(budget: PrivacyBudget, sens: Sensitivity) -> NoiseScale:
     if sens.l2 == 0.0:
         return NoiseScale(0.0, Mechanism.MECH3)
     f = inverfc(budget.delta)
-    return NoiseScale(_sigma_from_root(f, budget.epsilon, sens.l2), Mechanism.MECH3)
+    sigma = _sigma_from_root(f, budget.epsilon, sens.l2)
+    return _noise(sigma, Mechanism.MECH3, budget, sens)
 
 
 def sigma_mech4(budget: PrivacyBudget, sens: Sensitivity) -> NoiseScale:
@@ -431,7 +477,8 @@ def sigma_mech4(budget: PrivacyBudget, sens: Sensitivity) -> NoiseScale:
     if sens.l2 == 0.0:
         return NoiseScale(0.0, Mechanism.MECH4)
     g = inverfc_seed(budget.delta)
-    return NoiseScale(_sigma_from_root(g, budget.epsilon, sens.l2), Mechanism.MECH4)
+    sigma = _sigma_from_root(g, budget.epsilon, sens.l2)
+    return _noise(sigma, Mechanism.MECH4, budget, sens)
 
 
 def dp_opt_zero_eps(delta: float, sens: Sensitivity) -> NoiseScale:
@@ -492,7 +539,7 @@ def solve_dp_opt(
         return _zero_sensitivity_result(Mechanism.DP_OPT)
     eps, delta = budget.epsilon, budget.delta
     target = 2.0 * delta
-    at_zero = 1.0 - erfcx(math.sqrt(eps))  # the residual equation at a = 0
+    at_zero = _dp_equation(0.0, eps)
 
     def fn(u: float) -> float:
         return _dp_equation(u, eps)
@@ -520,7 +567,7 @@ def solve_dp_opt(
         _sigma_from_root(root, eps, sens.l2), sens.l2, eps, delta, _dp_delta_unit
     )
     return CalibrationResult(
-        noise=NoiseScale(sigma, Mechanism.DP_OPT),
+        noise=_noise(sigma, Mechanism.DP_OPT, budget, sens),
         root=root,
         bracket_low=lo,
         bracket_high=hi,
@@ -560,7 +607,7 @@ def solve_pdp_opt(
         _sigma_from_root(root, eps, sens.l2), sens.l2, eps, delta, _pdp_delta_unit
     )
     return CalibrationResult(
-        noise=NoiseScale(sigma, Mechanism.PDP_OPT),
+        noise=_noise(sigma, Mechanism.PDP_OPT, budget, sens),
         root=root,
         bracket_low=lo,
         bracket_high=hi,

@@ -15,8 +15,8 @@ mechanisms share the run.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -245,24 +245,35 @@ _MAX_HISTOGRAM_CELLS = 10_000_000
 
 def histogram_counts(rows: Sequence[Sequence[str]]) -> np.ndarray:
     """Count vector over the cross-product of per-column observed values,
-    in lexicographic cell order."""
-    rows = [tuple(str(v) for v in row) for row in rows]
-    if not rows:
+    in lexicographic cell order.
+
+    Whole rows are counted in one pass; the domains and the cell of each
+    distinct row come from the distinct rows alone.  Values are compared as
+    their ``str`` and must be hashable.
+    """
+    tally: dict[tuple[str, ...], int] = {}
+    for row, n in Counter(map(tuple, rows)).items():
+        key = tuple(map(str, row))
+        tally[key] = tally.get(key, 0) + n
+    if not tally:
         raise ValueError("histogram requires at least one record")
-    width = len(rows[0])
-    if width == 0 or any(len(row) != width for row in rows):
+    width = len(next(iter(tally)))
+    if width == 0 or any(len(row) != width for row in tally):
         raise ValueError("records must all have the same positive number of columns")
-    domains = [sorted({row[j] for row in rows}) for j in range(width)]
+    domains = [sorted({row[j] for row in tally}) for j in range(width)]
     n_cells = math.prod(len(d) for d in domains)
     if n_cells > _MAX_HISTOGRAM_CELLS:
         raise ValueError(
             f"histogram domain has {n_cells} cells (cross-product of observed "
             f"values); limit is {_MAX_HISTOGRAM_CELLS}"
         )
-    index = {cell: i for i, cell in enumerate(itertools.product(*domains))}
-    counts = np.zeros(len(index))
-    for row in rows:
-        counts[index[row]] += 1.0
+    positions = [{value: i for i, value in enumerate(d)} for d in domains]
+    counts = np.zeros(n_cells)
+    for row, n in tally.items():
+        cell = 0
+        for value, position, domain in zip(row, positions, domains):
+            cell = cell * len(domain) + position[value]
+        counts[cell] = n
     return counts
 
 

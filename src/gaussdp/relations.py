@@ -11,7 +11,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .calib import Mechanism, NoiseScale, PrivacyBudget, Sensitivity, _check_range, _log_ratio
+from .calib import (
+    Mechanism,
+    NoiseScale,
+    PrivacyBudget,
+    Sensitivity,
+    _check_range,
+    _log_ratio,
+    _noise,
+)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -94,7 +102,7 @@ def sigma_via_cdp_route(budget: PrivacyBudget, sens: Sensitivity) -> NoiseScale:
         * (math.sqrt(log_inv_delta) + math.sqrt(log_inv_delta + budget.epsilon))
         / (_SQRT2 * budget.epsilon)
     )
-    return NoiseScale(sigma, Mechanism.CDP_ROUTE)
+    return _noise(sigma, Mechanism.CDP_ROUTE, budget, sens)
 
 
 def zcdp_of_sigma(sigma: NoiseScale, sens: Sensitivity) -> ZcdpParams:

@@ -6,26 +6,27 @@ which lets products of the form ``exp(eps) * erfc(sqrt(u**2 + eps))`` be
 evaluated as ``erfcx(sqrt(u**2 + eps)) * exp(-u**2)`` without overflow.
 
 Implementation notes:
-  * erfcx on x >= 0: Chebyshev expansion of (1 + 2x) * erfcx(x) in the
-    variable s = (x - 3.75)/(x + 3.75), which maps [0, inf) onto [-1, 1).
-    The 27 coefficients below were computed by Chebyshev-node interpolation
-    of the 60-digit function values; the float evaluation has measured
-    relative error < 6e-16 over the whole half line.
-  * erfcx on (-26.6, 0): reflection erfcx(-x) = 2 exp(x^2) - erfcx(x),
-    which overflows the double range once x^2 > ln(MAX/2) ~ 708.7.
-  * erfc(x) = erfcx(x) * exp(-x*x) for x >= 0 (never via 1 - erf, so no
-    cancellation for large x), and the reflection 2 - erfc(-x) for x < 0.
-  * erf on |x| < 1: the positive-term Maclaurin form
-    erf(x) = (2x/sqrt(pi)) e^{-x^2} sum_k (2x^2)^k / (2k+1)!!,
-    elsewhere 1 - erfc(x); odd symmetry is applied up front.
+  * erf and erfc are the platform libm's (``math.erf``, ``math.erfc``);
+    libm's erfc never forms 1 - erf, so large x loses nothing.
+  * erfcx on (-26.6, 26.5]: exp(hi^2) * erfc(x) * exp((x - hi)(x + hi)),
+    where hi is x with its low 27 bits cleared (Veltkamp split by 2^27 + 1).
+    hi^2 is exact, so the rounding of x^2 (up to 6e-14 relative in exp(x^2)
+    near |x| = 26) never reaches the result; negative x needs no reflection.
+    Below -26.6 the result overflows: x^2 > ln(MAX/2) ~ 708.7.
+  * erfcx above 26.5: the asymptotic series (1/sqrt(pi))/x sum_k (-1)^k
+    (2k-1)!! / (2x^2)^k, eight terms, whose first omitted term is below
+    2e-19 relative there; it stays finite (subnormal) up to the largest
+    double.
   * inverfc: Newton iteration on erfc started from the proven strict upper
     bound sqrt(ln(2 / (sqrt(8p + 1) - 1))) (see ``inverfc_seed``), with a
     bisection fallback should an iterate ever leave the bracket [0, seed].
-  * inverf: inverfc(1 - p) for p >= 0.25; for smaller p, Newton on the erf
-    series from p sqrt(pi)/2, free of the cancellation in 1 - p.
+  * inverf: inverfc(1 - p) for p >= 0.25; for smaller p, Newton on erf
+    from p sqrt(pi)/2, free of the cancellation in 1 - p.
 
-Accuracy is validated in the test suite against a 50-digit mpmath oracle;
-targets are 1e-14 (erf), 1e-13 (erfc, erfcx) and 1e-12 round-trip (inverfc).
+Accuracy is validated in the test suite against a 50-digit mpmath oracle:
+erfc within 1e-15 relative on [-6, 26.5], erfcx within 1e-15 on [-26.5,
+1.7e308] and erf within 1e-14 on [-6, 6] (a weaker platform libm fails these
+checks), and inverfc within 1e-12 round-trip.
 """
 
 from __future__ import annotations
@@ -33,42 +34,15 @@ from __future__ import annotations
 import math
 
 _SQRT_PI = math.sqrt(math.pi)
-_TWO_OVER_SQRT_PI = 2.0 / _SQRT_PI
+_ONE_OVER_SQRT_PI = 1.0 / _SQRT_PI
 
-# Chebyshev coefficients of (1 + 2x) * erfcx(x) in s = (x - 3.75)/(x + 3.75);
-# a[0] enters Clenshaw with weight 1/2.
-_ERFCX_CHEB = (
-    2.3551578691348035082,
-    -0.0045900545806464773309,
-    -0.084249133366517915584,
-    0.059209939998191890498,
-    -0.026658668435305752277,
-    0.0090749976707052650939,
-    -0.0024131635404176081909,
-    0.00049077583652580863229,
-    -6.9169733025012063671e-05,
-    4.1390279860730101675e-06,
-    7.7403830661984906686e-07,
-    -2.1886401049234395661e-07,
-    1.0764999465670910377e-08,
-    4.5219598112182868979e-09,
-    -7.7544002088313511065e-10,
-    -6.3180883408866844944e-11,
-    2.8687950109306698981e-11,
-    1.945586854577734723e-13,
-    -9.6546967484334389059e-13,
-    3.2525481481487398415e-14,
-    3.3478119482868053878e-14,
-    -1.8645628804193131015e-15,
-    -1.2507950530688647085e-15,
-    7.418235256624043463e-17,
-    5.0681489047961113168e-17,
-    -2.2370566594359995974e-18,
-    -2.187342944303017665e-18,
-)
-
+# Above this erfcx is the asymptotic series; below it libm's erfc(x) is still
+# a normal double (~2e-307 at 26.5), so the scaled product keeps full precision.
+_ERFCX_ASYMPTOTIC = 26.5
 # 2*exp(x^2) overflows IEEE doubles once x^2 > ln(MAX/2) ~ 708.69.
 _NEG_OVERFLOW_X2 = 708.69
+# Veltkamp's constant 2^27 + 1: splits a double into a 26-bit high part.
+_SPLIT = 134217729.0
 
 
 def _check_finite(x: float, name: str = "x") -> float:
@@ -78,34 +52,6 @@ def _check_finite(x: float, name: str = "x") -> float:
     return x
 
 
-def _erfcx_nonneg(x: float) -> float:
-    if x == 0.0:
-        return 1.0
-    s = (x - 3.75) / (x + 3.75)
-    b1 = 0.0
-    b2 = 0.0
-    s2 = 2.0 * s
-    for a in _ERFCX_CHEB[:0:-1]:
-        b1, b2 = s2 * b1 - b2 + a, b1
-    # divided by 1 + 2x as 1/2 over 1/2 + x: the same double (scaling by 2 is
-    # exact), but 1 + 2x overflows near x = 9e307 and the result would be 0
-    return 0.5 * (s * b1 - b2 + 0.5 * _ERFCX_CHEB[0]) / (0.5 + x)
-
-
-def _erf_series(x: float) -> float:
-    # erf(x) = (2x/sqrt(pi)) e^{-x^2} sum_{k>=0} (2x^2)^k / (1*3*...*(2k+1)).
-    # All terms are positive, so no cancellation; ~17 terms suffice for |x| < 1.
-    t = 2.0 * x * x
-    term = 1.0
-    total = 1.0
-    k = 0
-    while term > total * 1e-18 and k < 60:
-        k += 1
-        term *= t / (2 * k + 1)
-        total += term
-    return _TWO_OVER_SQRT_PI * x * math.exp(-x * x) * total
-
-
 def erfcx(x: float) -> float:
     """Scaled complementary error function exp(x**2) * erfc(x).
 
@@ -113,36 +59,31 @@ def erfcx(x: float) -> float:
     the double range; finite everywhere else.
     """
     x = _check_finite(x)
-    if x < 0.0:
-        x2 = x * x
-        if x2 > _NEG_OVERFLOW_X2:
-            raise OverflowError(f"erfcx({x}) overflows double precision")
-        return 2.0 * math.exp(x2) - _erfcx_nonneg(-x)
-    return _erfcx_nonneg(x)
+    if x > _ERFCX_ASYMPTOTIC:
+        # the asymptotic series in Horner form; 0.5/(x*x) is 0, not an
+        # error, where x*x overflows
+        t = 0.5 / (x * x)
+        total = 1.0
+        for odd in (13.0, 11.0, 9.0, 7.0, 5.0, 3.0, 1.0):
+            total = 1.0 - odd * t * total
+        return _ONE_OVER_SQRT_PI / x * total
+    if x * x > _NEG_OVERFLOW_X2:
+        raise OverflowError(f"erfcx({x}) overflows double precision")
+    # exp(x^2) = exp(hi^2) exp((x - hi)(x + hi)) with hi the top 26 bits of
+    # x: hi^2 is exact, so no rounding of x^2 reaches the exponential.
+    c = _SPLIT * x
+    hi = c - (c - x)
+    return math.exp(hi * hi) * math.erfc(x) * math.exp((x - hi) * (x + hi))
 
 
 def erfc(x: float) -> float:
-    """Complementary error function, computed via erfcx so large positive
-    arguments suffer no 1 - erf cancellation."""
-    x = _check_finite(x)
-    if x < 0.0:
-        return 2.0 - erfc(-x)
-    if x > 27.5:
-        return 0.0  # below the smallest subnormal double
-    return _erfcx_nonneg(x) * math.exp(-x * x)
+    """Complementary error function (the platform libm's)."""
+    return math.erfc(_check_finite(x))
 
 
 def erf(x: float) -> float:
-    """Error function; odd by construction (erf(-x) == -erf(x) exactly)."""
-    x = _check_finite(x)
-    if x < 0.0:
-        return -erf(-x)
-    if x < 1.0:
-        return _erf_series(x)
-    if x >= 6.0:
-        # erfc(6) ~ 2.15e-17 is below half an ulp of 1.0
-        return 1.0
-    return 1.0 - erfc(x)
+    """Error function (the platform libm's)."""
+    return math.erf(_check_finite(x))
 
 
 def inverfc_seed(y: float) -> float:
@@ -229,12 +170,12 @@ def inverf(p: float) -> float:
         return -inverf(-p)
     if p >= 0.25:
         return inverfc(1.0 - p)
-    # Newton on the positive-term series from x = p sqrt(pi)/2: erf is
-    # concave on x > 0 and erf(x) < 2x/sqrt(pi), so the iterates start below
-    # the root (< 0.23, inside the series' range) and rise monotonely.
+    # Newton on erf from x = p sqrt(pi)/2: erf is concave on x > 0 and
+    # erf(x) < 2x/sqrt(pi), so the iterates start below the root (< 0.23)
+    # and rise monotonely.
     x = p * _SQRT_PI * 0.5
     for _ in range(60):
-        dx = (p - _erf_series(x)) * _SQRT_PI * 0.5 * math.exp(x * x)
+        dx = (p - erf(x)) * _SQRT_PI * 0.5 * math.exp(x * x)
         x += dx
         # erf's own rounding keeps the final steps at an ulp or two, so stop
         # once the step is this small: the quadratic error left is far below.

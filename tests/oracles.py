@@ -3,6 +3,8 @@
 These live only in the test suite; the shipped library is double precision.
 Expected values in the tests are either frozen literals produced by these
 functions or recomputed here at collection time.
+Float inputs are read as the exact double, ``mpf(float(x))``: the decimal
+``repr`` of a subnormal is up to 1.2% off it (``repr(5e-324)``).
 """
 
 from mpmath import erfc as _erfc, erfinv as _erfinv, exp as _exp, mp, mpf
@@ -14,15 +16,15 @@ _FRONTIER_GRID = [mpf(10) ** (mpf(k) / 4 - 3) for k in range(29)]
 
 
 def oracle_erf(x):
-    return mp.erf(mpf(repr(float(x))))
+    return mp.erf(mpf(float(x)))
 
 
 def oracle_erfc(x):
-    return _erfc(mpf(repr(float(x))))
+    return _erfc(mpf(float(x)))
 
 
 def oracle_erfcx(x):
-    x = mpf(repr(float(x)))
+    x = mpf(float(x))
     if x > 1e10:
         # exp(x^2) erfc(x) goes wrong in mpmath from about x = 1e50 (and
         # raises from 1e160); erfcx(x) = U(1/2, 1/2, x^2) / sqrt(pi) holds
@@ -31,11 +33,11 @@ def oracle_erfcx(x):
 
 
 def oracle_inverfc(p):
-    return _erfinv(1 - mpf(repr(float(p))))
+    return _erfinv(1 - mpf(float(p)))
 
 
 def oracle_erfinv(p):
-    return _erfinv(mpf(repr(float(p))))
+    return _erfinv(mpf(float(p)))
 
 
 def oracle_dp_delta(sigma, eps):
@@ -56,7 +58,7 @@ def oracle_failure_threshold(f_of_delta, delta):
     geometric scan over [1e-3, 1e4] as the library, then refined by
     bracketed root finding on the relative excess at full precision.
     """
-    f_of_delta, delta = mpf(repr(float(f_of_delta))), mpf(repr(float(delta)))
+    f_of_delta, delta = mpf(float(f_of_delta)), mpf(float(delta))
 
     def excess(eps):
         return oracle_dp_delta(f_of_delta / eps, eps) / delta - 1
@@ -75,7 +77,7 @@ def oracle_dp_opt_sigma(eps, delta, lo, hi):
     oracle_dp_delta(sigma, eps) = delta, which strictly decreases in sigma,
     bisected at full precision on the sign-change bracket (lo, hi) to a
     relative width below 1e-20."""
-    eps, delta = mpf(repr(float(eps))), mpf(repr(float(delta)))
+    eps, delta = mpf(float(eps)), mpf(float(delta))
     lo, hi = mpf(lo), mpf(hi)
     if not oracle_dp_delta(lo, eps) > delta >= oracle_dp_delta(hi, eps):
         raise ValueError("no sign change of the profile on (lo, hi)")
@@ -92,4 +94,4 @@ def rel_err(got, true) -> float:
     true = mpf(true)
     if true == 0:
         return abs(float(got))
-    return float(abs((mpf(repr(float(got))) - true) / true))
+    return float(abs((mpf(float(got)) - true) / true))

@@ -40,6 +40,7 @@ from gaussdp.mech import privacy_loss_sample
 from gaussdp.relations import sigma_via_cdp_route
 from gaussdp.specfun import erfcx, inverfc, inverfc_seed
 from oracles import (
+    oracle_dp_delta,
     oracle_dp_opt_sigma,
     oracle_erfinv,
     oracle_failure_threshold,
@@ -136,6 +137,16 @@ def test_dp_profile_decreasing_in_sigma():
         for s in (1.0, 10.0, 100.0)
     ]
     assert deltas[0] > deltas[1] > deltas[2] >= 0.0
+
+
+@pytest.mark.parametrize("eps", [1e-10, 1e-8, 1e-6, 1e-4])
+def test_dp_profile_small_eps_against_oracle(eps):
+    # erfcx(a) - erfcx(sqrt(a^2 + eps)) would lose a relative 2a^2/eps of
+    # digits to cancellation if it were subtracted at small eps
+    for a in (0.0, 0.01, 0.5, 2.0, 5.0, 10.0, 20.0):
+        sigma = (a + math.sqrt(a * a + eps)) / (eps * math.sqrt(2.0))
+        got = dp_delta_profile(NoiseScale(sigma, Mechanism.DP_OPT), eps, UNIT)
+        assert rel_err(got, oracle_dp_delta(sigma, eps)) <= 1e-11, a
 
 
 def test_pdp_profile_inverts_calibration():
@@ -313,11 +324,11 @@ def test_solvers_certified_on_domain_sweep():
 
 
 def test_solvers_tight():
-    # sigma 1e-9 lower must fail; below eps = 1e-6 the profile's rounding
-    # (relative 1e-16 / (eps / 2u^2)) exceeds that change, and at subnormal
-    # delta or delta -> 1 so does delta's own resolution
+    # sigma 1e-9 lower must fail, down to eps = 1e-8, where the DP profile
+    # integrates its short erfcx differences instead of subtracting them; at
+    # subnormal delta or delta -> 1, delta's own resolution exceeds that change
     for solve, profile in SOLVERS:
-        for eps in SWEEP_EPS[2:]:
+        for eps in SWEEP_EPS:
             for delta in SWEEP_DELTA[2:-1]:
                 noise = solve(budget(eps, delta), UNIT).noise
                 lower = NoiseScale(noise.sigma * (1 - 1e-9), noise.kind)
@@ -535,6 +546,15 @@ def test_calibrate_forwards_tol_to_solvers():
 def test_calibrate_rejects_unknown_tag():
     with pytest.raises(ValueError):
         calibrate("bogus", PrivacyBudget(1.0, 1e-5), UNIT)
+
+
+@pytest.mark.parametrize("kind", MECHANISM_ORDER)
+def test_huge_sensitivity_names_the_sensitivity(kind):
+    # sigma is linear in the sensitivity and leaves the double range here
+    budget, sens = PrivacyBudget(0.5, 1e-5), Sensitivity(1e308)
+    for calibration in (PER_MECHANISM[kind], lambda b, s: calibrate(kind, b, s)):
+        with pytest.raises(ValueError, match=r"sensitivity 1e\+308 is too large"):
+            calibration(budget, sens)
 
 
 # --- achieves_dp ------------------------------------------------------------

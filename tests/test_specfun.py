@@ -222,3 +222,33 @@ def test_erf_oracle_agreement_property(x):
 @pytest.mark.parametrize("p", [0.1, 0.5, 0.9, -0.7, 0.999])
 def test_inverf_roundtrip(p):
     assert abs(erf(inverf(p)) - p) <= 1e-12 * abs(p)
+
+
+# --- platform libm ----------------------------------------------------------
+# erf and erfc are the platform libm's, and erfcx is built on its erfc, so
+# their last bits may differ between platforms; these grids fail on a libm
+# weaker than the accuracy the solvers were tuned on.
+
+
+def _grid(lo, hi, n):
+    return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
+
+
+def test_erfc_libm_accuracy():
+    worst = max(rel_err(erfc(x), oracle_erfc(x)) for x in _grid(-6.0, 26.5, 400))
+    assert worst <= 1e-15
+
+
+def test_erfcx_libm_accuracy():
+    xs = _grid(-26.5, 26.5, 400)
+    # dense on both sides of the seam between the libm product and the series
+    xs += _grid(26.5 - 1e-3, 26.5 + 1e-3, 101)
+    xs += [math.nextafter(26.5, -math.inf), math.nextafter(26.5, math.inf)]
+    xs += [26.5 * (1.7e308 / 26.5) ** (k / 199) for k in range(200)]
+    worst = max(rel_err(erfcx(x), oracle_erfcx(x)) for x in xs)
+    assert worst <= 1e-15
+
+
+def test_erf_libm_accuracy():
+    xs = [x for x in _grid(-6.0, 6.0, 400) if x != 0.0]
+    assert max(rel_err(erf(x), oracle_erf(x)) for x in xs) <= 1e-14
