@@ -1,53 +1,40 @@
 #!/usr/bin/env python3
 """Sweep the noise amounts of all nine mechanisms over a delta grid, for a
-handful of eps values, and write a plot-ready CSV.
+handful of eps values, and write a plot-ready CSV: the ``gaussdp compare``
+table on this grid.
 
 Usage: python scripts/noise_comparison.py --out noise_comparison.csv
 """
 
 import argparse
-import csv
 
-from gaussdp import (
-    MECHANISM_ORDER,
-    PrivacyBudget,
-    Sensitivity,
-    achieves_dp,
-    calibrate,
-)
+from gaussdp import MECHANISM_ORDER
+from gaussdp.cli import main as gaussdp_main
 
 EPS_VALUES = (0.1, 1.0, 5.0, 10.0, 15.0, 20.0)
-DELTA_EXPONENTS = range(-10, -1)  # 1e-10 .. 1e-2
+DELTA_VALUES = tuple(10.0 ** exponent for exponent in range(-10, -1))  # 1e-10 .. 1e-2
 
 
-def main() -> None:
+def grid(values) -> str:
+    # repr round-trips, so compare parses back the exact doubles
+    return ",".join(map(repr, values))
+
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="noise_comparison.csv")
     parser.add_argument("--sens", type=float, default=1.0)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
-    sens = Sensitivity(args.sens)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epsilon", "delta", "mechanism", "sigma", "achieves_dp"])
-        for eps in EPS_VALUES:
-            for exponent in DELTA_EXPONENTS:
-                delta = 10.0 ** exponent
-                budget = PrivacyBudget(eps, delta)
-                for kind in MECHANISM_ORDER:
-                    noise = calibrate(kind, budget, sens)
-                    writer.writerow(
-                        [
-                            repr(eps),
-                            repr(delta),
-                            str(kind),
-                            repr(noise.sigma),
-                            str(achieves_dp(noise, budget, sens)).lower(),
-                        ]
-                    )
-    cells = len(EPS_VALUES) * len(list(DELTA_EXPONENTS)) * len(MECHANISM_ORDER)
-    print(f"wrote {cells} rows to {args.out}")
+    status = gaussdp_main(
+        ["compare", "--eps-grid", grid(EPS_VALUES), "--delta-grid", grid(DELTA_VALUES),
+         "--sens", repr(args.sens), "--output", args.out]
+    )
+    if status == 0:
+        cells = len(EPS_VALUES) * len(DELTA_VALUES) * len(MECHANISM_ORDER)
+        print(f"wrote {cells} rows to {args.out}")
+    return status
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

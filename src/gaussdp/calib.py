@@ -20,11 +20,12 @@ Conventions used throughout:
     instead of subtracted (``_erfcx_drop``).  The pDP residual erfc(u) +
     erfc(s) is a sum, free of cancellation.
   * Solvers shrink a sign-change bracket of a strictly decreasing residual,
-    by Newton steps on its logarithm or else by bisection, and return the
-    upper end of a final bracket narrower than tol, so the reported sigma
-    errs on the noisy (safe) side.  The solvers then certify their sigma on
-    the exact profile (DP for dp-opt, pDP for pdp-opt) and raise it by a few
-    ulps wherever rounding left the profile above delta.
+    by Newton steps on its logarithm or else by bisection, and stop about
+    tol/2 above the root, so the reported sigma errs on the noisy (safe)
+    side.  The exact profile (DP for dp-opt, pDP for pdp-opt) is the only
+    proof: one shared tail certifies every answer on it, raising sigma by a
+    few ulps wherever rounding left the profile above delta, and reports
+    the residual 2 (profile - delta) <= 0 it achieved.
 """
 
 from __future__ import annotations
@@ -127,9 +128,10 @@ class CalibrationResult:
     ``bracket_low``/``bracket_high`` record the initial proven bracket,
     whose sign change the solver's own evaluations confirm; ``iterations``
     counts every evaluation of the defining equation; ``residual`` is the
-    defining-equation residual at the returned root (bounded by
-    (2/sqrt(pi)) * tol).  ``noise.sigma`` passes its own exact profile, so
-    it may sit a few ulps above ``_sigma_from_root(root)``.
+    defining-equation residual at the certified sigma, 2 (profile(sigma) -
+    delta) on the solver's own profile, so never positive.  ``noise.sigma``
+    passes that profile, so it may sit a few ulps above
+    ``_sigma_from_root(root)``.
     """
 
     noise: NoiseScale
@@ -220,17 +222,17 @@ def _solve_decreasing(fn, lo, hi, target, tol, slope=None, fn_lo=None, fn_hi=Non
     known (this catches roots where ln fn bends so that the near end
     overshoots), taken if it lands inside the bracket and is under half the
     previous step; otherwise the step bisects.  A Newton step shorter than
-    sqrt(tol)/10 lands within a small fraction of tol of the root, at c, and
-    the bracket is closed by evaluating c + 0.4 tol and c - 0.4 tol, which
-    keeps about tol/2 of slack above the root, as bisection does.  Should
-    they leave it open, fn is too coarse for Newton and the rest bisects.
-    ``fn_lo``/``fn_hi`` give fn at the ends where known; a Newton solve
-    evaluates fn(hi) otherwise, which confirms the bracket.
+    sqrt(tol)/10 that lands in the bracket, at c, is within a small
+    fraction of tol of the root: the solve returns min(c + 0.4 tol, hi)
+    unevaluated, which keeps about tol/2 of slack above the root, as
+    bisection does, and leaves the proof to the caller's profile
+    certificate.  ``fn_lo``/``fn_hi`` give fn at the ends where known; a
+    Newton solve evaluates fn(hi) otherwise, which confirms the bracket.
 
-    Every evaluation shrinks the bracket.  Returns (root, fn(root),
-    evaluations): root is the upper end of a final bracket narrower than
-    tol, so fn(root) <= target (fn(root) is None if never evaluated), and
-    evaluations counts every call of fn.
+    Every evaluation shrinks the bracket.  Returns (root, evaluations):
+    root is that Newton end point or else the upper end of a final bracket
+    narrower than tol (so fn(root) <= target), and evaluations counts every
+    call of fn.
     """
     evaluations = 0
     if slope is not None:
@@ -242,7 +244,6 @@ def _solve_decreasing(fn, lo, hi, target, tol, slope=None, fn_lo=None, fn_hi=Non
         close = 0.1 * math.sqrt(tol)
     x = hi  # the last evaluated point, Newton's first base
     last_step = hi - lo
-    probes, probed = [], False
     while hi - lo >= tol:
         if evaluations >= _MAX_ITERS:
             raise ConvergenceError(
@@ -251,30 +252,26 @@ def _solve_decreasing(fn, lo, hi, target, tol, slope=None, fn_lo=None, fn_hi=Non
             )
         u = 0.5 * (lo + hi)
         if slope is not None:
-            probes = [p for p in probes if lo < p < hi]
-            if probes:
-                u = probes.pop()
-            elif probed:
-                slope = None  # the closing probes left the bracket open
-            else:
-                ends = [(hi, fn_hi), (lo, fn_lo)]
-                for base, value in ends if x == hi else ends[::-1]:
-                    # Newton on ln fn; skipped where fn is unknown, not
-                    # positive, flat, or too far from target for a finite ratio
-                    ratio = value / target if value is not None else 0.0
-                    d = slope(base) if 0.0 < ratio < math.inf else 0.0
-                    if d >= 0.0:
+            ends = ((hi, fn_hi), (lo, fn_lo))
+            for base, value in ends if x == hi else ends[::-1]:
+                # Newton on ln fn; skipped where fn is unknown, not
+                # positive, flat, or too far from target for a finite ratio
+                ratio = value / target if value is not None else 0.0
+                d = slope(base) if 0.0 < ratio < math.inf else 0.0
+                if d >= 0.0:
+                    continue
+                c = base + math.log(ratio) * value / -d
+                if abs(c - base) < close:
+                    if not lo <= c <= hi:
                         continue
-                    c = base + math.log(ratio) * value / -d
-                    if abs(c - base) < close:
-                        probes = [c - 0.4 * tol, c + 0.4 * tol]
-                        probes = [p for p in probes if lo < p < hi]
-                        if probes:
-                            u, probed = probes.pop(), True
-                            break
-                    elif lo < c < hi and abs(c - base) < 0.5 * last_step:
-                        u = c
-                        break
+                    if c - 0.4 * tol == c + 0.4 * tol:
+                        raise ConvergenceError(
+                            f"tol {tol:.3e} is below float resolution at root {c!r}"
+                        )
+                    return min(c + 0.4 * tol, hi), evaluations
+                if lo < c < hi and abs(c - base) < 0.5 * last_step:
+                    u = c
+                    break
             last_step = abs(u - x)
         if not lo < u < hi:
             # bracket exhausted at float resolution with width still >= tol
@@ -288,7 +285,7 @@ def _solve_decreasing(fn, lo, hi, target, tol, slope=None, fn_lo=None, fn_hi=Non
         else:
             hi, fn_hi = u, value
         x = u
-    return hi, fn_hi, evaluations
+    return hi, evaluations
 
 
 def _noise(
@@ -505,18 +502,37 @@ def dp_opt_zero_eps(delta: float, sens: Sensitivity) -> NoiseScale:
 
 def _certified(
     sigma: float, l2: float, eps: float, delta: float, unit_profile
-) -> float:
-    """sigma raised by 1, 2, 4, ... ulp until unit_profile(sigma / l2, eps)
-    <= delta: the solvers' root errs on the safe side, but rounding in the
-    profile can still leave it a few ulps short."""
+) -> tuple[float, float]:
+    """(sigma, achieved): sigma raised by 1, 2, 4, ... ulp until its profile
+    achieved = unit_profile(sigma / l2, eps) <= delta.  The solvers' root
+    errs on the safe side, but an unevaluated Newton end point, or rounding
+    in the profile, can still leave it a few ulps short."""
     step = math.ulp(sigma)
     for _ in range(_MAX_CERT_STEPS):
-        if unit_profile(sigma / l2, eps) <= delta:
-            return sigma
+        achieved = unit_profile(sigma / l2, eps)
+        if achieved <= delta:
+            return sigma, achieved
         sigma += step
         step += step
     raise ConvergenceError(
         f"sigma {sigma!r} still misses its profile at eps={eps!r}, delta={delta!r}"
+    )
+
+
+def _solver_result(kind, budget, sens, unit_profile, root, lo, hi, iterations):
+    """The solvers' shared tail: certify the sigma of root on unit_profile
+    and report it with the solve's telemetry."""
+    eps, delta = budget.epsilon, budget.delta
+    sigma, achieved = _certified(
+        _sigma_from_root(root, eps, sens.l2), sens.l2, eps, delta, unit_profile
+    )
+    return CalibrationResult(
+        noise=_noise(sigma, kind, budget, sens),
+        root=root,
+        bracket_low=lo,
+        bracket_high=hi,
+        iterations=iterations,
+        residual=2.0 * (achieved - delta),
     )
 
 
@@ -548,10 +564,10 @@ def solve_dp_opt(
         return _dp_slope(u, eps)
 
     if at_zero == target:
-        root, value, lo, hi, iterations = 0.0, at_zero, 0.0, 0.0, 0
+        root, lo, hi, iterations = 0.0, 0.0, 0.0, 0
     elif at_zero > target:
         lo, hi = 0.0, inverfc_seed(target)
-        root, value, iterations = _solve_decreasing(
+        root, iterations = _solve_decreasing(
             fn, lo, hi, target, tol, slope, fn_lo=at_zero
         )
     else:
@@ -559,20 +575,11 @@ def solve_dp_opt(
         # 26.4) still holds, as r(-26.4) > 2 - 1e-300 > 2 delta.
         y = (2.0 - 2.0 * delta) / (math.exp(min(eps, 700.0)) + 1.0)
         lo, hi = -inverfc_seed(y), 0.0
-        root, value, iterations = _solve_decreasing(
+        root, iterations = _solve_decreasing(
             fn, lo, hi, target, tol, slope, fn_hi=at_zero
         )
-
-    sigma = _certified(
-        _sigma_from_root(root, eps, sens.l2), sens.l2, eps, delta, _dp_delta_unit
-    )
-    return CalibrationResult(
-        noise=_noise(sigma, Mechanism.DP_OPT, budget, sens),
-        root=root,
-        bracket_low=lo,
-        bracket_high=hi,
-        iterations=iterations,
-        residual=value - target,
+    return _solver_result(
+        Mechanism.DP_OPT, budget, sens, _dp_delta_unit, root, lo, hi, iterations
     )
 
 
@@ -595,24 +602,12 @@ def solve_pdp_opt(
     target = 2.0 * delta
     lo = 0.0 if delta < 0.5 else inverfc(target)
     hi = inverfc_seed(delta)
-    root, value, iterations = _solve_decreasing(
-        lambda u: _pdp_equation(u, eps),
-        lo,
-        hi,
-        target,
-        tol,
+    root, iterations = _solve_decreasing(
+        lambda u: _pdp_equation(u, eps), lo, hi, target, tol,
         lambda u: _pdp_slope(u, eps),
     )
-    sigma = _certified(
-        _sigma_from_root(root, eps, sens.l2), sens.l2, eps, delta, _pdp_delta_unit
-    )
-    return CalibrationResult(
-        noise=_noise(sigma, Mechanism.PDP_OPT, budget, sens),
-        root=root,
-        bracket_low=lo,
-        bracket_high=hi,
-        iterations=iterations,
-        residual=value - target,
+    return _solver_result(
+        Mechanism.PDP_OPT, budget, sens, _pdp_delta_unit, root, lo, hi, iterations
     )
 
 
@@ -657,7 +652,7 @@ def failure_threshold(f_of_delta: float, delta: float, tol: float = 1e-6) -> flo
         raise BracketError(
             "no sign change of delta(F(delta)/eps, eps) - delta in eps in [1e-3, 1e4]"
         )
-    root, _, _ = _solve_decreasing(lambda e: -profile(e), prev_eps, eps, -delta, tol)
+    root, _ = _solve_decreasing(lambda e: -profile(e), prev_eps, eps, -delta, tol)
     return root
 
 

@@ -105,12 +105,17 @@ def _budget(args) -> PrivacyBudget:
     return PrivacyBudget(args.eps, args.delta)
 
 
+# Each entry looks its solver up when called, so that rebinding a module
+# name (as a call tracer does) also reroutes the calibrate command.
+_SOLVERS = {
+    Mechanism.DP_OPT: lambda budget, sens, tol: solve_dp_opt(budget, sens, tol),
+    Mechanism.PDP_OPT: lambda budget, sens, tol: solve_pdp_opt(budget, sens, tol),
+}
+
+
 def _calibration_record(kind: Mechanism, budget: PrivacyBudget, sens: Sensitivity, tol: float) -> dict:
-    if kind is Mechanism.DP_OPT:
-        result = solve_dp_opt(budget, sens, tol)
-        sigma, iterations, residual = result.noise.sigma, result.iterations, result.residual
-    elif kind is Mechanism.PDP_OPT:
-        result = solve_pdp_opt(budget, sens, tol)
+    if kind in _SOLVERS:
+        result = _SOLVERS[kind](budget, sens, tol)
         sigma, iterations, residual = result.noise.sigma, result.iterations, result.residual
     else:
         sigma, iterations, residual = calibrate(kind, budget, sens).sigma, 0, 0.0

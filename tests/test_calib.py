@@ -224,7 +224,9 @@ def test_dp_opt_zero_root_case():
 def test_dp_opt_telemetry_invariants():
     result = solve_dp_opt(budget(2.0, 1e-4), UNIT)
     assert result.bracket_low <= result.root <= result.bracket_high
-    assert abs(result.residual) <= 1e-9
+    # the residual is the one the certified sigma achieves on its profile
+    assert result.residual == 2 * (dp_delta_profile(result.noise, 2.0, UNIT) - 1e-4)
+    assert -1e-9 <= result.residual <= 0.0
     assert result.iterations <= 200
 
 
@@ -232,7 +234,8 @@ def test_dp_opt_negative_root_branch():
     # 1 - e^eps erfc(sqrt(eps)) < 2 delta forces a < 0 (tiny eps, fat delta)
     result = solve_dp_opt(budget(0.01, 0.4), UNIT)
     assert result.bracket_low < result.root <= 0.0
-    assert abs(result.residual) <= 1e-9
+    assert result.residual == 2 * (dp_delta_profile(result.noise, 0.01, UNIT) - 0.4)
+    assert -1e-9 <= result.residual <= 0.0
     assert abs(dp_delta_profile(result.noise, 0.01, UNIT) - 0.4) <= 1e-9
 
 
@@ -247,9 +250,10 @@ def test_dp_opt_zero_sensitivity():
     assert solve_dp_opt(budget(1, 1e-4), Sensitivity(0.0)).noise.sigma == 0.0
 
 
-def test_dp_opt_unreachable_tolerance():
+@pytest.mark.parametrize("solve", (solve_dp_opt, solve_pdp_opt))
+def test_solver_unreachable_tolerance(solve):
     with pytest.raises(ConvergenceError):
-        solve_dp_opt(budget(1, 1e-4), UNIT, tol=1e-40)
+        solve(budget(1, 1e-4), UNIT, tol=1e-40)
 
 
 # --- optimal pDP solver -----------------------------------------------------
@@ -275,7 +279,9 @@ def test_pdp_opt_large_eps_asymptote():
 
 def test_pdp_opt_residual():
     result = solve_pdp_opt(budget(0.5, 1e-5), UNIT)
-    assert abs(result.residual) <= 1e-9
+    assert result.bracket_low <= result.root <= result.bracket_high
+    assert result.residual == 2 * (pdp_delta_profile(result.noise, 0.5, UNIT) - 1e-5)
+    assert -1e-9 <= result.residual <= 0.0
 
 
 def test_pdp_opt_accepts_large_delta():
@@ -309,7 +315,7 @@ def test_solver_evaluations_on_request_ranges():
         )
         for solve, _ in SOLVERS:
             result = solve(budget(eps, delta), Sensitivity(sens))
-            assert result.iterations <= 10, (solve.__name__, eps, delta)
+            assert result.iterations <= 6, (solve.__name__, eps, delta)
 
 
 def test_solvers_certified_on_domain_sweep():

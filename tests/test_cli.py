@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -32,7 +34,7 @@ def test_calibrate_dp_opt_table_row(capsys):
     (row,) = parse_csv(out)
     assert abs(float(row["sigma"]) - 0.3501) <= 5e-4
     assert int(row["iterations"]) > 0
-    assert abs(float(row["residual"])) <= 1e-9
+    assert -1e-9 <= float(row["residual"]) <= 0.0
 
 
 def test_calibrate_warns_classical_large_eps(capsys):
@@ -138,6 +140,20 @@ def test_compare_single_cell_matches_calibrate(capsys):
         )
         (row,) = parse_csv(single)
         assert float(row["sigma"]) == rows[mech]
+
+
+def test_noise_comparison_script_rows_equal_compare(capsys, tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "noise_comparison.py"
+    out = tmp_path / "noise_comparison.csv"
+    assert runpy.run_path(str(script))["main"](["--out", str(out), "--sens", "2.5"]) == 0
+    assert capsys.readouterr().out == f"wrote 486 rows to {out}\n"
+    code, expected, _ = run_cli(
+        capsys, "compare", "--eps-grid", "0.1,1,5,10,15,20",
+        "--delta-grid", ",".join(f"1e-{k}" for k in range(10, 1, -1)), "--sens", "2.5",
+    )
+    assert code == 0
+    assert out.read_text(encoding="utf-8") == expected
+    assert len(parse_csv(expected)) == 486
 
 
 def test_profile_table(capsys):
