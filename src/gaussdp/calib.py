@@ -31,6 +31,8 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
+import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -44,6 +46,9 @@ _MAX_ITERS = 200
 # cap on the doubling ulp nudges of the certificate: 2^64 ulp is over 4000
 # times sigma, far beyond any rounding shortfall
 _MAX_CERT_STEPS = 64
+# below the least normal double, a target (2 delta) is so coarse that fn
+# equals it on a whole plateau of u
+_FLOAT_MIN = sys.float_info.min
 
 
 class Mechanism(str, Enum):
@@ -226,8 +231,11 @@ def _solve_decreasing(fn, lo, hi, target, tol, slope=None, fn_lo=None, fn_hi=Non
     fraction of tol of the root: the solve returns min(c + 0.4 tol, hi)
     unevaluated, which keeps about tol/2 of slack above the root, as
     bisection does, and leaves the proof to the caller's profile
-    certificate.  ``fn_lo``/``fn_hi`` give fn at the ends where known; a
-    Newton solve evaluates fn(hi) otherwise, which confirms the bracket.
+    certificate.  A subnormal target is the exception: fn is quantized
+    there and equals target on a whole plateau, so a zero step (fn(base) ==
+    target) is skipped rather than returned.  ``fn_lo``/``fn_hi`` give fn
+    at the ends where known; a Newton solve evaluates fn(hi) otherwise,
+    which confirms the bracket.
 
     Every evaluation shrinks the bracket.  Returns (root, evaluations):
     root is that Newton end point or else the upper end of a final bracket
@@ -262,7 +270,7 @@ def _solve_decreasing(fn, lo, hi, target, tol, slope=None, fn_lo=None, fn_hi=Non
                     continue
                 c = base + math.log(ratio) * value / -d
                 if abs(c - base) < close:
-                    if not lo <= c <= hi:
+                    if not lo <= c <= hi or (c == base and target < _FLOAT_MIN):
                         continue
                     if c - 0.4 * tol == c + 0.4 * tol:
                         raise ConvergenceError(
@@ -689,3 +697,35 @@ def calibrate(
 ) -> NoiseScale:
     """Calibrated noise scale for any mechanism tag (solvers included)."""
     return _CALIBRATIONS[Mechanism(kind)](budget, sens, tol)
+
+
+def compare_grid(
+    eps_grid: Iterable[float],
+    delta_grid: Iterable[float],
+    sens: Sensitivity,
+    tol: float = DEFAULT_TOL,
+) -> list[tuple[float, float, Mechanism, float, bool]]:
+    """Rows (eps, delta, kind, sigma, achieves_dp) for every mechanism at
+    every (eps, delta) of the grid: eps outer, delta inner, MECHANISM_ORDER
+    innermost.
+
+    Each sigma is ``calibrate``'s and each flag ``achieves_dp``'s, bit for
+    bit.  dp-opt's flag is True without a second look at its profile: its
+    certificate checked the same DP profile on the same floats.
+    """
+    calibrations = [(kind, _CALIBRATIONS[kind]) for kind in MECHANISM_ORDER]
+    # a zero sensitivity skips the certificate, and achieves_dp raises there
+    certified = sens.l2 > 0.0
+    delta_grid = list(delta_grid)
+    rows = []
+    for eps in eps_grid:
+        for delta in delta_grid:
+            budget = PrivacyBudget(eps, delta)
+            for kind, calibration in calibrations:
+                noise = calibration(budget, sens, tol)
+                if kind is Mechanism.DP_OPT and certified:
+                    achieves = True
+                else:
+                    achieves = achieves_dp(noise, budget, sens)
+                rows.append((eps, delta, kind, noise.sigma, achieves))
+    return rows

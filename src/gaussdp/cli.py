@@ -3,8 +3,13 @@
 Subcommands: calibrate, compare, profile, region, compose, experiment.
 Tables are emitted as RFC-4180 CSV (header row) or as JSON, one object per
 line; floats are printed with Python's shortest round-trip repr, so parsing
-an emitted file recovers the exact values.  Exit status: 0 on success, 2 on
-usage or domain errors, 3 on numerical non-convergence or bracket failure.
+an emitted file recovers the exact values.  `compare` calibrates its whole
+grid in one ``calib.compare_grid`` call and formats its CSV itself, each
+grid value's repr once, into the bytes the csv module would write (no cell
+of that table ever needs quoting).  Nothing is written until the whole table
+is built, so a failing command leaves an existing output file as it was.
+Exit status: 0 on success, 2 on usage or domain errors, 3 on numerical
+non-convergence or bracket failure.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ from .calib import (
     NoiseScale,
     PrivacyBudget,
     Sensitivity,
-    achieves_dp,
     calibrate,
+    compare_grid,
     dp_delta_profile,
     failure_threshold,
     pdp_delta_profile,
@@ -81,7 +86,10 @@ def _emit(records: list[dict], fieldnames: list[str], args) -> None:
         for record in records:
             buffer.write(json.dumps({name: record[name] for name in fieldnames}))
             buffer.write("\n")
-    text = buffer.getvalue()
+    _write_text(buffer.getvalue(), args)
+
+
+def _write_text(text: str, args) -> None:
     if args.output == "-":
         sys.stdout.write(text)
     else:
@@ -149,23 +157,26 @@ def cmd_calibrate(args) -> None:
 
 
 def cmd_compare(args) -> None:
-    sens = Sensitivity(args.sens)
-    records = []
-    for eps in args.eps_grid:
-        for delta in args.delta_grid:
-            budget = PrivacyBudget(eps, delta)
-            for kind in MECHANISM_ORDER:
-                noise = calibrate(kind, budget, sens, args.tol)
-                records.append(
-                    {
-                        "epsilon": eps,
-                        "delta": delta,
-                        "mechanism": str(kind),
-                        "sigma": noise.sigma,
-                        "achieves_dp": achieves_dp(noise, budget, sens),
-                    }
-                )
-    _emit(records, ["epsilon", "delta", "mechanism", "sigma", "achieves_dp"], args)
+    rows = compare_grid(args.eps_grid, args.delta_grid, Sensitivity(args.sens), args.tol)
+    fieldnames = ["epsilon", "delta", "mechanism", "sigma", "achieves_dp"]
+    if args.format == "json":
+        records = [
+            dict(zip(fieldnames, (eps, delta, str(kind), sigma, achieves)))
+            for eps, delta, kind, sigma, achieves in rows
+        ]
+        _emit(records, fieldnames, args)
+        return
+    # every cell is a float repr, a mechanism tag or true/false, none of
+    # which the csv module would quote
+    grid_text = {value: repr(value) for value in (*args.eps_grid, *args.delta_grid)}
+    lines = [",".join(fieldnames)]
+    lines += [
+        f"{grid_text[eps]},{grid_text[delta]},{kind.value},{sigma!r},"
+        f"{'true' if achieves else 'false'}"
+        for eps, delta, kind, sigma, achieves in rows
+    ]
+    lines.append("")
+    _write_text("\n".join(lines), args)
 
 
 def cmd_profile(args) -> None:

@@ -23,6 +23,7 @@ from gaussdp.calib import (
     Sensitivity,
     achieves_dp,
     calibrate,
+    compare_grid,
     dp_delta_profile,
     dp_opt_zero_eps,
     failure_threshold,
@@ -341,6 +342,21 @@ def test_solvers_tight():
                 assert profile(lower, eps, UNIT) > delta, (solve.__name__, eps, delta)
 
 
+def test_solvers_tight_at_subnormal_delta():
+    # the profile is quantized at subnormal delta, equal to delta on a whole
+    # plateau of sigma; the solver must bisect to the plateau's low end
+    # rather than stop on it: sigma 1e-12 lower must fail
+    for solve, profile in SOLVERS:
+        for eps in SWEEP_EPS:
+            for delta in SWEEP_DELTA[:2]:
+                for sens in (Sensitivity(1e-3), UNIT, Sensitivity(1e3)):
+                    noise = solve(budget(eps, delta), sens).noise
+                    lower = NoiseScale(noise.sigma * (1 - 1e-12), noise.kind)
+                    assert profile(lower, eps, sens) > delta, (
+                        solve.__name__, eps, delta, sens.l2,
+                    )
+
+
 @pytest.mark.parametrize(
     "eps,delta",
     [(1e-2, 1e-12), (0.1, 1e-6), (1.0, 1e-5), (10.0, 0.01), (50.0, 1e-100), (1e4, 0.3)],
@@ -561,6 +577,21 @@ def test_huge_sensitivity_names_the_sensitivity(kind):
     for calibration in (PER_MECHANISM[kind], lambda b, s: calibrate(kind, b, s)):
         with pytest.raises(ValueError, match=r"sensitivity 1e\+308 is too large"):
             calibration(budget, sens)
+
+
+def test_compare_grid_equals_scalar_calibrations():
+    eps_grid = SWEEP_EPS
+    delta_grid = (1e-300, 1e-12, 1e-6, 0.1, 0.49)
+    for sens in (Sensitivity(1e-3), UNIT, Sensitivity(1e3)):
+        want = []
+        for eps in eps_grid:
+            for delta in delta_grid:
+                b = budget(eps, delta)
+                for kind in MECHANISM_ORDER:
+                    noise = calibrate(kind, b, sens)
+                    want.append((eps, delta, kind, noise.sigma, achieves_dp(noise, b, sens)))
+        # every sigma is positive here, so == compares the bits
+        assert compare_grid(eps_grid, delta_grid, sens) == want
 
 
 # --- achieves_dp ------------------------------------------------------------

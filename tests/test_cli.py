@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import gaussdp.cli
+from gaussdp.calib import MECHANISM_ORDER, PrivacyBudget, Sensitivity, achieves_dp, calibrate
 from gaussdp.cli import main
 from gaussdp.mech import read_categorical_csv, synthetic_census_rows, write_categorical_csv
 
@@ -140,6 +141,64 @@ def test_compare_single_cell_matches_calibrate(capsys):
         )
         (row,) = parse_csv(single)
         assert float(row["sigma"]) == rows[mech]
+
+
+def _scalar_compare_records(eps_grid, delta_grid, sens):
+    # the compare table as one calibrate and one achieves_dp call per row
+    sens = Sensitivity(sens)
+    records = []
+    for eps in eps_grid:
+        for delta in delta_grid:
+            budget = PrivacyBudget(eps, delta)
+            for kind in MECHANISM_ORDER:
+                noise = calibrate(kind, budget, sens)
+                records.append({
+                    "epsilon": eps, "delta": delta, "mechanism": str(kind),
+                    "sigma": noise.sigma, "achieves_dp": achieves_dp(noise, budget, sens),
+                })
+    return records
+
+
+@pytest.mark.parametrize("sens", [1e-3, 1.0, 1e3])
+def test_compare_bytes_equal_csv_writer_rendering(capsys, tmp_path, sens):
+    # a duplicated grid value (1 and 1.0), a classical failure (eps 15) and
+    # subnormal deltas
+    eps_text, delta_text = "1,1.0,15,0.1", "0.1,1e-300,5e-324"
+    argv = ("compare", "--eps-grid", eps_text, "--delta-grid", delta_text, "--sens", repr(sens))
+    records = _scalar_compare_records(
+        [float(v) for v in eps_text.split(",")], [float(v) for v in delta_text.split(",")], sens,
+    )
+    fieldnames = list(records[0])
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(fieldnames)
+    for record in records:
+        writer.writerow([gaussdp.cli._cell(record[name]) for name in fieldnames])
+    assert run_cli(capsys, *argv) == (0, buffer.getvalue(), "")
+    path = tmp_path / "compare.csv"
+    assert run_cli(capsys, *argv, "--output", str(path)) == (0, "", "")
+    assert path.read_bytes() == buffer.getvalue().encode()
+    json_lines = "".join(json.dumps(record) + "\n" for record in records)
+    assert run_cli(capsys, *argv, "--format", "json") == (0, json_lines, "")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "grid,message",
+    [
+        (("--eps-grid", "1", "--delta-grid", "1e-5", "--sens", "0"),
+         "delta profile requires sigma > 0"),
+        # fails in the grid's second cell, after the first was calibrated
+        (("--eps-grid", "1,2", "--delta-grid", "1e-5,0.6"),
+         "mechanism 2 requires delta < 0.5, got delta=0.6"),
+    ],
+)
+def test_compare_domain_errors_leave_output_untouched(capsys, tmp_path, fmt, grid, message):
+    path = tmp_path / "compare.out"
+    path.write_text("old table\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "compare", *grid, "--format", fmt, "--output", str(path))
+    assert (code, out, err) == (2, "", f"gaussdp: error: {message}\n")
+    assert path.read_text(encoding="utf-8") == "old table\n"
 
 
 def test_noise_comparison_script_rows_equal_compare(capsys, tmp_path):
