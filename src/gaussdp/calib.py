@@ -12,6 +12,10 @@ Conventions used throughout:
   * Every noise amount has the shape sigma = (u + sqrt(u^2 + eps)) * Delta /
     (eps * sqrt(2)) for some auxiliary root u; for u < 0 this is evaluated in
     the equivalent cancellation-free form Delta / (sqrt(2) * (sqrt(u^2+eps) - u)).
+    Each calibration is thus linear in Delta, and one tail (``_noise``)
+    decides every sigma at its edges: 0 at Delta = 0, and at Delta > 0 a
+    ValueError naming the sensitivity wherever sigma leaves the normal
+    double range.
   * Every difference of error functions is taken from one method.  The DP
     residual and profile erfc(u) - exp(eps) erfc(s), s = sqrt(u^2 + eps),
     are e^{-u^2} (erfcx(u) - erfcx(s)) for u >= 0 and 2 - e^{-u^2}
@@ -46,8 +50,9 @@ _MAX_ITERS = 200
 # cap on the doubling ulp nudges of the certificate: 2^64 ulp is over 4000
 # times sigma, far beyond any rounding shortfall
 _MAX_CERT_STEPS = 64
-# below the least normal double, a target (2 delta) is so coarse that fn
-# equals it on a whole plateau of u
+# below the least normal double a value has lost precision: a target
+# (2 delta) is so coarse that fn equals it on a whole plateau of u, and a
+# sigma is no longer returned
 _FLOAT_MIN = sys.float_info.min
 
 
@@ -84,7 +89,7 @@ def _check_range(name: str, value: float, upper: float = math.inf) -> float:
     """Return value if it is finite and in (0, upper), else raise a
     ValueError that names the bound."""
     if not (math.isfinite(value) and 0.0 < value < upper):
-        bound = "positive" if upper == math.inf else f"in (0, {upper:g})"
+        bound = "finite and positive" if upper == math.inf else f"in (0, {upper:g})"
         raise ValueError(f"{name} must be {bound}, got {value!r}")
     return value
 
@@ -110,7 +115,7 @@ class Sensitivity:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.l2) and self.l2 >= 0.0):
-            raise ValueError(f"l2 sensitivity must be >= 0, got {self.l2!r}")
+            raise ValueError(f"l2 sensitivity must be finite and >= 0, got {self.l2!r}")
 
 
 @dataclass(frozen=True)
@@ -123,7 +128,7 @@ class NoiseScale:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
-            raise ValueError(f"sigma must be >= 0, got {self.sigma!r}")
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma!r}")
 
 
 @dataclass(frozen=True)
@@ -301,28 +306,22 @@ def _noise(
 ) -> NoiseScale:
     """NoiseScale(sigma, kind) for a sigma computed at sensitivity sens.
 
-    Every calibration is linear in the sensitivity, so a sigma beyond the
-    double range is reported as a sensitivity too large for the budget.
+    The one place that decides sigma at the edges of the sensitivity.
+    Every calibration is linear in it, so Delta = 0 gives sigma 0; at
+    Delta > 0 a sigma outside [_FLOAT_MIN, inf), which gives no privacy (0)
+    or has lost its precision (subnormal) or its range (inf), raises a
+    ValueError naming the sensitivity as too small or too large.
     """
-    if sigma == math.inf:
+    if sens.l2 == 0.0:
+        sigma = 0.0
+    elif sigma < _FLOAT_MIN or sigma == math.inf:
+        size = "small" if sigma < _FLOAT_MIN else "large"
         raise ValueError(
-            f"sensitivity {sens.l2!r} is too large for {kind} at "
+            f"sensitivity {sens.l2!r} is too {size} for {kind} at "
             f"epsilon={budget.epsilon!r}, delta={budget.delta!r}: sigma "
-            "exceeds the double range"
+            "leaves the normal double range"
         )
     return NoiseScale(sigma, kind)
-
-
-def _zero_sensitivity_result(kind: Mechanism) -> CalibrationResult:
-    # Zero-sensitivity queries are exactly answerable: sigma = 0, no solving.
-    return CalibrationResult(
-        noise=NoiseScale(0.0, kind),
-        root=0.0,
-        bracket_low=0.0,
-        bracket_high=0.0,
-        iterations=0,
-        residual=0.0,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +405,13 @@ def pdp_delta_profile(sigma: NoiseScale, epsilon: float, sens: Sensitivity) -> f
 
 def achieves_dp(sigma: NoiseScale, budget: PrivacyBudget, sens: Sensitivity) -> bool:
     """True iff the DP profile of sigma at budget.epsilon is <= budget.delta
-    (non-strict: noise calibrated exactly to the boundary counts)."""
+    (non-strict: noise calibrated exactly to the boundary counts).
+
+    At sensitivity 0 the query answers alike on neighbouring datasets, so
+    any sigma, 0 included, gives (eps, 0)-DP: True without a profile.
+    """
+    if sens.l2 == 0.0:
+        return True
     return dp_delta_profile(sigma, budget.epsilon, sens) <= budget.delta
 
 
@@ -446,8 +451,6 @@ def sigma_mech1(budget: PrivacyBudget, sens: Sensitivity) -> NoiseScale:
     when 2 - e^eps erfc(sqrt(eps)) > 2 delta, else b = 0; then
     sigma = (b + sqrt(b^2 + eps)) Delta / (eps sqrt(2)).
     """
-    if sens.l2 == 0.0:
-        return NoiseScale(0.0, Mechanism.MECH1)
     b = _mech1_root(budget.epsilon, budget.delta)
     sigma = _sigma_from_root(b, budget.epsilon, sens.l2)
     return _noise(sigma, Mechanism.MECH1, budget, sens)
@@ -460,8 +463,6 @@ def sigma_mech2(budget: PrivacyBudget, sens: Sensitivity) -> NoiseScale:
         raise ValueError(
             f"mechanism 2 requires delta < 0.5, got delta={budget.delta!r}"
         )
-    if sens.l2 == 0.0:
-        return NoiseScale(0.0, Mechanism.MECH2)
     c = inverfc_seed(2.0 * budget.delta)
     sigma = _sigma_from_root(c, budget.epsilon, sens.l2)
     return _noise(sigma, Mechanism.MECH2, budget, sens)
@@ -469,8 +470,6 @@ def sigma_mech2(budget: PrivacyBudget, sens: Sensitivity) -> NoiseScale:
 
 def sigma_mech3(budget: PrivacyBudget, sens: Sensitivity) -> NoiseScale:
     """Closed-form upper bound on the optimal pDP noise: f = inverfc(delta)."""
-    if sens.l2 == 0.0:
-        return NoiseScale(0.0, Mechanism.MECH3)
     f = inverfc(budget.delta)
     sigma = _sigma_from_root(f, budget.epsilon, sens.l2)
     return _noise(sigma, Mechanism.MECH3, budget, sens)
@@ -479,8 +478,6 @@ def sigma_mech3(budget: PrivacyBudget, sens: Sensitivity) -> NoiseScale:
 def sigma_mech4(budget: PrivacyBudget, sens: Sensitivity) -> NoiseScale:
     """Elementary-function upper bound on the optimal pDP noise:
     g = sqrt(ln(2/(sqrt(8 delta + 1) - 1))); valid for all delta in (0, 1)."""
-    if sens.l2 == 0.0:
-        return NoiseScale(0.0, Mechanism.MECH4)
     g = inverfc_seed(budget.delta)
     sigma = _sigma_from_root(g, budget.epsilon, sens.l2)
     return _noise(sigma, Mechanism.MECH4, budget, sens)
@@ -529,11 +526,16 @@ def _certified(
 
 def _solver_result(kind, budget, sens, unit_profile, root, lo, hi, iterations):
     """The solvers' shared tail: certify the sigma of root on unit_profile
-    and report it with the solve's telemetry."""
+    and report it with the solve's telemetry.
+
+    Only a normal sigma (>= _FLOAT_MIN) is certified, and reported with the
+    residual it achieved; a smaller one (0 at Delta = 0, else a sensitivity
+    too small for the budget) is left to ``_noise``, with residual 0.
+    """
     eps, delta = budget.epsilon, budget.delta
-    sigma, achieved = _certified(
-        _sigma_from_root(root, eps, sens.l2), sens.l2, eps, delta, unit_profile
-    )
+    sigma, achieved = _sigma_from_root(root, eps, sens.l2), delta
+    if sigma >= _FLOAT_MIN:
+        sigma, achieved = _certified(sigma, sens.l2, eps, delta, unit_profile)
     return CalibrationResult(
         noise=_noise(sigma, kind, budget, sens),
         root=root,
@@ -559,8 +561,6 @@ def solve_dp_opt(
     on |a| looser than inverfc of the same argument.
     """
     tol = _check_range("tol", float(tol))
-    if sens.l2 == 0.0:
-        return _zero_sensitivity_result(Mechanism.DP_OPT)
     eps, delta = budget.epsilon, budget.delta
     target = 2.0 * delta
     at_zero = _dp_equation(0.0, eps)
@@ -604,8 +604,6 @@ def solve_pdp_opt(
     where the root may be negative.
     """
     tol = _check_range("tol", float(tol))
-    if sens.l2 == 0.0:
-        return _zero_sensitivity_result(Mechanism.PDP_OPT)
     eps, delta = budget.epsilon, budget.delta
     target = 2.0 * delta
     lo = 0.0 if delta < 0.5 else inverfc(target)
@@ -711,11 +709,10 @@ def compare_grid(
 
     Each sigma is ``calibrate``'s and each flag ``achieves_dp``'s, bit for
     bit.  dp-opt's flag is True without a second look at its profile: its
-    certificate checked the same DP profile on the same floats.
+    certificate checked the same DP profile on the same floats, and at
+    sensitivity 0 ``achieves_dp`` is True for every mechanism.
     """
     calibrations = [(kind, _CALIBRATIONS[kind]) for kind in MECHANISM_ORDER]
-    # a zero sensitivity skips the certificate, and achieves_dp raises there
-    certified = sens.l2 > 0.0
     delta_grid = list(delta_grid)
     rows = []
     for eps in eps_grid:
@@ -723,9 +720,6 @@ def compare_grid(
             budget = PrivacyBudget(eps, delta)
             for kind, calibration in calibrations:
                 noise = calibration(budget, sens, tol)
-                if kind is Mechanism.DP_OPT and certified:
-                    achieves = True
-                else:
-                    achieves = achieves_dp(noise, budget, sens)
+                achieves = kind is Mechanism.DP_OPT or achieves_dp(noise, budget, sens)
                 rows.append((eps, delta, kind, noise.sigma, achieves))
     return rows

@@ -240,13 +240,14 @@ def cmd_experiment(args) -> None:
     _emit(records, ["mechanism", "trials", "metric", "metric_stderr"], args)
 
 
-def _add_output_flags(parser: argparse.ArgumentParser) -> None:
+def _add_output_flags(parser: argparse.ArgumentParser, solves: bool = False) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="output format (default: csv)")
     parser.add_argument("--output", default="-", metavar="PATH",
                         help="output path, '-' for stdout (default)")
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                        help="solver tolerance on the root variable (default 1e-12)")
+    if solves:  # only a command that solves for a root takes a tolerance
+        parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                            help="solver tolerance on the root variable (default 1e-12)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,14 +265,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--sens", type=float, default=1.0)
-    _add_output_flags(p)
+    _add_output_flags(p, solves=True)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("compare", help="sigma table for all mechanisms over a grid")
     p.add_argument("--eps-grid", type=_parse_grid, required=True)
     p.add_argument("--delta-grid", type=_parse_grid, required=True)
     p.add_argument("--sens", type=float, default=1.0)
-    _add_output_flags(p)
+    _add_output_flags(p, solves=True)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("profile", help="DP/pDP delta profiles over a sigma grid")
@@ -283,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("region", help="failure frontier G(delta) of the classical mechanisms")
     p.add_argument("--delta-grid", type=_parse_grid, required=True)
-    _add_output_flags(p)
+    _add_output_flags(p, solves=True)
     p.set_defaults(func=cmd_region)
 
     p = sub.add_parser("compose", help="account a composition of Gaussian mechanisms")

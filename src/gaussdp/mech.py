@@ -79,7 +79,7 @@ def sample_noise(dim: int, sigma: float, seed: int) -> NoisySample:
         raise ValueError(f"dim must be >= 1, got {dim}")
     sigma = float(sigma)
     if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise ValueError(f"sigma must be >= 0, got {sigma!r}")
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
     if sigma == 0.0:
         values = np.zeros(dim)
     else:

@@ -34,7 +34,7 @@ class McdpParams:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.mu) and self.mu >= 0.0):
-            raise ValueError(f"mu must be >= 0, got {self.mu!r}")
+            raise ValueError(f"mu must be finite and >= 0, got {self.mu!r}")
         _check_range("tau", self.tau)
 
 
@@ -94,8 +94,6 @@ def sigma_via_cdp_route(budget: PrivacyBudget, sens: Sensitivity) -> NoiseScale:
     The zCDP, RDP, and tCDP derivations all reduce to this same expression;
     it exceeds even the weakest direct mechanism (sqrt(8 delta + 1) - 1 > 2 delta).
     """
-    if sens.l2 == 0.0:
-        return NoiseScale(0.0, Mechanism.CDP_ROUTE)
     log_inv_delta = _log_ratio(1.0, budget.delta)
     sigma = (
         sens.l2

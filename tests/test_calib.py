@@ -9,6 +9,8 @@ and profile inversion).
 
 import math
 import random
+import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -572,11 +574,53 @@ def test_calibrate_rejects_unknown_tag():
 
 @pytest.mark.parametrize("kind", MECHANISM_ORDER)
 def test_huge_sensitivity_names_the_sensitivity(kind):
-    # sigma is linear in the sensitivity and leaves the double range here
-    budget, sens = PrivacyBudget(0.5, 1e-5), Sensitivity(1e308)
-    for calibration in (PER_MECHANISM[kind], lambda b, s: calibrate(kind, b, s)):
-        with pytest.raises(ValueError, match=r"sensitivity 1e\+308 is too large"):
-            calibration(budget, sens)
+    # sigma is linear in the sensitivity and leaves the normal double range
+    # here: above it at 1e308, below it (subnormal or 0) at 5e-324
+    cases = (
+        (PrivacyBudget(0.5, 1e-5), Sensitivity(1e308), r"sensitivity 1e\+308 is too large"),
+        (PrivacyBudget(0.5, 1e-5), Sensitivity(5e-324), r"sensitivity 5e-324 is too small"),
+        (PrivacyBudget(1e8, 0.1), Sensitivity(5e-324), r"sensitivity 5e-324 is too small"),
+    )
+    for budget, sens, message in cases:
+        for calibration in (PER_MECHANISM[kind], lambda b, s: calibrate(kind, b, s)):
+            with pytest.raises(ValueError, match=message):
+                calibration(budget, sens)
+
+
+def test_tiny_sensitivity_gives_normal_sigma_or_names_it():
+    # a positive sensitivity never yields a zero or subnormal sigma: each
+    # call answers a normal sigma, which the solvers certify, or raises
+    profiles = {Mechanism.DP_OPT: dp_delta_profile, Mechanism.PDP_OPT: pdp_delta_profile}
+    for l2 in (5e-324, 1e-320, 1e-310, 3e-308):
+        sens = Sensitivity(l2)
+        for eps in SWEEP_EPS:
+            for delta in (5e-324, 1e-300, 1e-12, 1e-5, 0.1, 0.49):
+                b = budget(eps, delta)
+                for kind in MECHANISM_ORDER:
+                    try:
+                        noise = calibrate(kind, b, sens)
+                    except ValueError as exc:
+                        assert f"sensitivity {l2!r} is too small" in str(exc)
+                        continue
+                    assert noise.sigma >= sys.float_info.min, (kind, l2, eps, delta)
+                    if kind in profiles:
+                        assert profiles[kind](noise, eps, sens) <= delta, (kind, l2, eps, delta)
+
+
+def test_zero_sensitivity_gives_zero_sigma_that_achieves_dp():
+    zero = Sensitivity(0.0)
+    for eps, delta in ((1e-8, 1e-300), (0.5, 1e-5), (10.0, 0.3), (1e8, 0.49)):
+        b = budget(eps, delta)
+        for kind in MECHANISM_ORDER:
+            noise = calibrate(kind, b, zero)
+            assert noise == NoiseScale(0.0, kind)
+            assert achieves_dp(noise, b, zero)
+        # the solvers still solve: the root does not depend on the
+        # sensitivity, and nothing is left to certify
+        for solve in (solve_dp_opt, solve_pdp_opt):
+            at_zero, at_one = solve(b, zero), solve(b, UNIT)
+            assert at_zero.residual == 0.0
+            assert replace(at_zero, noise=at_one.noise, residual=at_one.residual) == at_one
 
 
 def test_compare_grid_equals_scalar_calibrations():

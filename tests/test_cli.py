@@ -186,8 +186,13 @@ def test_compare_bytes_equal_csv_writer_rendering(capsys, tmp_path, sens):
 @pytest.mark.parametrize(
     "grid,message",
     [
-        (("--eps-grid", "1", "--delta-grid", "1e-5", "--sens", "0"),
-         "delta profile requires sigma > 0"),
+        # dwork2006's sigma is subnormal at this sensitivity
+        pytest.param(
+            ("--eps-grid", "1", "--delta-grid", "1e-5", "--sens", "1e-320"),
+            "sensitivity 1e-320 is too small for dwork2006 at epsilon=1.0, "
+            "delta=1e-05: sigma leaves the normal double range",
+            id="tiny-sensitivity",
+        ),
         # fails in the grid's second cell, after the first was calibrated
         (("--eps-grid", "1,2", "--delta-grid", "1e-5,0.6"),
          "mechanism 2 requires delta < 0.5, got delta=0.6"),
@@ -199,6 +204,20 @@ def test_compare_domain_errors_leave_output_untouched(capsys, tmp_path, fmt, gri
     code, out, err = run_cli(capsys, "compare", *grid, "--format", fmt, "--output", str(path))
     assert (code, out, err) == (2, "", f"gaussdp: error: {message}\n")
     assert path.read_text(encoding="utf-8") == "old table\n"
+
+
+def test_compare_zero_sensitivity_needs_no_noise(capsys):
+    argv = ("compare", "--eps-grid", "0.5,1e8", "--delta-grid", "1e-300,0.1,0.49", "--sens", "0")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    rows = parse_csv(out)
+    assert len(rows) == 2 * 3 * len(MECHANISM_ORDER)
+    assert {(row["sigma"], row["achieves_dp"]) for row in rows} == {("0.0", "true")}
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert len(records) == len(rows)
+    assert {(record["sigma"], record["achieves_dp"]) for record in records} == {(0.0, True)}
 
 
 def test_noise_comparison_script_rows_equal_compare(capsys, tmp_path):
@@ -417,6 +436,44 @@ def test_output_to_a_device(capsys):
         "--output", os.devnull,
     )
     assert (code, out) == (0, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("profile", "--sigma-grid", "1", "--eps", "1"),
+        ("compose", "--term", "1:1", "--eps", "1"),
+        ("experiment", "mean", "--n", "10", "--d", "2", "--eps", "1", "--delta", "1e-5",
+         "--trials", "1"),
+        ("experiment", "hist", "--csv", "x.csv", "--eps", "1", "--delta", "1e-5",
+         "--trials", "1"),
+    ],
+    ids=["profile", "compose", "experiment-mean", "experiment-hist"],
+)
+def test_tol_only_where_a_root_is_solved(capsys, argv):
+    # profile, compose and the experiments solve for no root
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--tol", "5"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --tol 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("profile", "--eps", "1", "--sigma-grid", "{}"),
+        ("calibrate", "--mech", "mech4", "--eps", "1", "--delta", "1e-5", "--sens", "{}"),
+        ("calibrate", "--mech", "mech4", "--eps", "{}", "--delta", "1e-5"),
+        ("compose", "--eps", "1", "--term", "1:{}"),
+        ("compose", "--eps", "1", "--term", "{}:1"),
+    ],
+    ids=["profile-sigma", "calibrate-sens", "calibrate-eps", "compose-sigma", "compose-sens"],
+)
+def test_non_finite_input_is_named_finite(capsys, argv, value):
+    code, out, err = run_cli(capsys, *(arg.format(value) for arg in argv))
+    assert (code, out) == (2, "")
+    assert "must be finite and" in err and f"got {value}" in err
 
 
 def test_usage_error_exits_2(capsys):

@@ -68,6 +68,8 @@ def test_sample_noise_validation():
         sample_noise(0, 1.0, seed=1)
     with pytest.raises(ValueError):
         sample_noise(3, -1.0, seed=1)
+    with pytest.raises(ValueError, match="sigma must be finite and >= 0, got inf"):
+        sample_noise(3, float("inf"), seed=1)
 
 
 def test_randomize_zero_sigma_is_identity():
