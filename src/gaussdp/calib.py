@@ -487,12 +487,17 @@ def dp_opt_zero_eps(delta: float, sens: Sensitivity) -> NoiseScale:
     """Optimal Gaussian noise for (0, delta)-DP: Delta / (2 sqrt(2) inverf(delta)).
 
     A strict, eps-independent upper bound on the optimal (eps, delta)-DP noise
-    for every eps > 0, attained in the limit eps -> 0.
+    for every eps > 0, attained in the limit eps -> 0.  The edges of the
+    sensitivity follow ``_noise``: Delta = 0 gives sigma 0, and a sigma
+    below the normal double range at Delta > 0 names the sensitivity.
     """
     delta = _check_range("delta", float(delta), 1.0)
-    if sens.l2 == 0.0:
-        return NoiseScale(0.0, Mechanism.DP_OPT)
     sigma = sens.l2 / (2.0 * _SQRT2 * inverf(delta))
+    if sens.l2 > 0.0 and sigma < _FLOAT_MIN:
+        raise ValueError(
+            f"sensitivity {sens.l2!r} is too small for the (0, delta)-DP sigma "
+            f"at delta={delta!r}: sigma leaves the normal double range"
+        )
     if sigma == math.inf:
         raise ValueError(
             f"delta={delta!r} is too small: the (0, delta)-DP sigma at "

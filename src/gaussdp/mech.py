@@ -10,6 +10,11 @@ draws each trial's standard-normal vector once, from a substream keyed by
 sigma (common random numbers).  A report is a pure function of its
 arguments, and a mechanism's report does not depend on which other
 mechanisms share the run.
+
+numpy is imported inside each function that uses it, on first use, not at
+module load: ``gaussdp`` imports this module eagerly, and a process that
+only calibrates (``calibrate``, ``compare``, ``region``, ``profile``,
+``compose``) should not pay numpy's start-up cost.
 """
 
 from __future__ import annotations
@@ -19,12 +24,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .calib import Mechanism, NoiseScale, PrivacyBudget, Sensitivity, calibrate
 from .rng import generator, standard_normal
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # substream indices under the experiment seed: 0 is the dataset, 1+t is trial t
 _DATASET_STREAM = 0
@@ -38,6 +44,8 @@ class QueryAnswer:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 1 or self.values.size < 1:
             raise ValueError("QueryAnswer.values must be a non-empty 1-d vector")
@@ -74,6 +82,8 @@ def sample_noise(dim: int, sigma: float, seed: int) -> NoisySample:
 
     Identical (dim, sigma, seed) yield bit-identical values.
     """
+    import numpy as np
+
     dim = int(dim)
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
@@ -106,6 +116,8 @@ def privacy_loss_tails(
 ) -> tuple[float, float]:
     """Empirical (Pr[L > eps], Pr[L < -eps]) for the privacy loss
     L ~ N(S^2/(2 sigma^2), S^2/sigma^2) at output distance S."""
+    import numpy as np
+
     distance = float(distance)
     if distance < 0.0:
         raise ValueError(f"distance must be >= 0, got {distance!r}")
@@ -158,6 +170,8 @@ def _shared_trials(
     seed: int,
     error: Callable[[np.ndarray, np.ndarray], float],
 ) -> tuple[ExperimentReport, ...]:
+    import numpy as np
+
     # one standard-normal draw per trial, scaled by every sigma
     errors = np.empty((len(sigmas), trials))
     for t in range(trials):
@@ -168,6 +182,8 @@ def _shared_trials(
 
 
 def _report(kind: Mechanism, sigma: float, errors: np.ndarray) -> ExperimentReport:
+    import numpy as np
+
     trials = errors.size
     stderr = float(np.std(errors, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return ExperimentReport(
@@ -197,6 +213,8 @@ def mean_experiment(
     neighboring is assumed, with default sensitivity sqrt(d)/n (points lie in
     an l-infinity ball of radius 1), overridable via ``sensitivity``.
     """
+    import numpy as np
+
     n, d, trials = int(n), int(d), int(trials)
     if n < 1 or d < 1 or trials < 1:
         raise ValueError("n, d, and trials must all be >= 1")
@@ -229,6 +247,8 @@ def histogram_experiment(
     Cells that occur in no record still exist (and receive noise): the domain
     is the full cross-product of the per-column observed value sets.
     """
+    import numpy as np
+
     trials = int(trials)
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -251,6 +271,8 @@ def histogram_counts(rows: Sequence[Sequence[str]]) -> np.ndarray:
     distinct row come from the distinct rows alone.  Values are compared as
     their ``str`` and must be hashable.
     """
+    import numpy as np
+
     tally: dict[tuple[str, ...], int] = {}
     for row, n in Counter(map(tuple, rows)).items():
         key = tuple(map(str, row))
@@ -318,6 +340,8 @@ def synthetic_census_rows(
 ) -> tuple[list[str], list[tuple[str, ...]]]:
     """Generate n_rows census-like categorical records (seeded, skewed
     per-column value frequencies)."""
+    import numpy as np
+
     n_rows = int(n_rows)
     if n_rows < 1:
         raise ValueError(f"n_rows must be >= 1, got {n_rows}")

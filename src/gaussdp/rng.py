@@ -8,16 +8,25 @@ Box-Muller (Marsaglia) method on top of that uniform stream rather than by
 ``Generator.normal``, so the exact sampling algorithm is fixed by this module
 and independent of numpy's internal choices.  Do not change either algorithm
 silently; the test suite asserts reproducibility.
+
+numpy is imported inside each function, on first use: ``gaussdp`` imports
+this module eagerly (through ``mech``), and a process that only calibrates
+should not pay numpy's start-up cost.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def generator(seed: int, *spawn_key: int) -> np.random.Generator:
     """PCG64 generator for ``seed``; extra integers select a substream
     (e.g. ``generator(seed, trial_index)``)."""
+    import numpy as np
+
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(spawn_key))
     return np.random.Generator(np.random.PCG64(ss))
 
@@ -31,6 +40,8 @@ def standard_normal(n: int, gen: np.random.Generator) -> np.ndarray:
     still missing, so the stream consumption (and hence the output) is a pure
     function of the seed.
     """
+    import numpy as np
+
     n = int(n)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")

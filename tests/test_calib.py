@@ -486,6 +486,23 @@ def test_zero_eps_subnormal_delta_names_delta(delta):
         dp_opt_zero_eps(delta, UNIT)
 
 
+@pytest.mark.parametrize(
+    "l2, delta",
+    [(5e-324, 0.1), (5e-324, 1e-5), (1e-310, 0.1), (5e-324, 0.99), (1e-310, 0.99)],
+)
+def test_zero_eps_tiny_sensitivity_names_the_sensitivity(l2, delta):
+    # the sigma is subnormal (or 0 near delta = 1) at a positive sensitivity
+    with pytest.raises(ValueError, match=rf"^sensitivity {l2!r} is too small"):
+        dp_opt_zero_eps(delta, Sensitivity(l2))
+
+
+def test_zero_eps_tiny_sensitivity_normal_sigma_is_kept():
+    # at delta 1e-5 the sigma for sensitivity 1e-310 is back in the normal range
+    sigma = dp_opt_zero_eps(1e-5, Sensitivity(1e-310)).sigma
+    assert sigma >= sys.float_info.min
+    assert rel_err(sigma, 1e-310 * dp_opt_zero_eps(1e-5, UNIT).sigma) <= 1e-12
+
+
 # --- failure frontier -------------------------------------------------------
 
 

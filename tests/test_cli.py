@@ -6,6 +6,8 @@ import json
 import math
 import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -395,6 +397,58 @@ def test_experiment_hist_missing_csv_exits_2(capsys, tmp_path):
         "--eps", "0.1", "--delta", "1e-6", "--trials", "5",
     )
     assert code == 2
+
+
+# Runs in a fresh interpreter: the commands that only calibrate, then one
+# experiment; writes the command output to stdout and, after each phase,
+# which modules are loaded as a JSON line to stderr.
+_MODULES_SCRIPT = """
+import json, sys
+if sys.argv[1] == "numpy-first":
+    import numpy
+import gaussdp.cli
+
+def loaded():
+    names = ("numpy", "gaussdp.mech", "gaussdp.rng")
+    sys.stderr.write(json.dumps({name: name in sys.modules for name in names}) + "\\n")
+
+for argv in (
+    ["calibrate", "--mech", "dp-opt", "--eps", "1", "--delta", "1e-5"],
+    ["calibrate", "--mech", "mech1", "--eps", "1", "--delta", "1e-5"],
+    ["compare", "--eps-grid", "0.5,1", "--delta-grid", "1e-5,1e-3"],
+    ["region", "--delta-grid", "1e-3,1e-4"],
+    ["profile", "--sigma-grid", "1.5,3", "--eps", "1"],
+    ["compose", "--term", "1:2", "--term", "2:3", "--eps", "1"],
+):
+    assert gaussdp.cli.main(argv) == 0
+loaded()
+assert gaussdp.cli.main([
+    "experiment", "mean", "--n", "200", "--d", "5", "--eps", "0.5",
+    "--delta", "1e-5", "--trials", "20", "--seed", "3",
+]) == 0
+loaded()
+"""
+
+
+def _run_modules_script(mode):
+    src = str(Path(gaussdp.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", _MODULES_SCRIPT, mode],
+        capture_output=True, check=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    return done.stdout, [json.loads(line) for line in done.stderr.splitlines()]
+
+
+def test_numpy_loaded_only_by_the_experiments():
+    out, (calibrated, experimented) = _run_modules_script("fresh")
+    # mech and rng stay loaded (the benchmark's tracer looks them up), but
+    # no command that only calibrates imports numpy
+    assert calibrated == {"numpy": False, "gaussdp.mech": True, "gaussdp.rng": True}
+    assert experimented["numpy"]
+    # loading numpy late changes no output byte
+    preloaded_out, _ = _run_modules_script("numpy-first")
+    assert out == preloaded_out
 
 
 def test_output_file(capsys, tmp_path):
