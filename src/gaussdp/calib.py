@@ -2,10 +2,10 @@
 
 Covers the two classical calibrations (Dwork-2006/2014), the optimal DP and
 pDP noise amounts (safeguarded-Newton solvers on proven brackets, with a
-profile certificate on every answer), four closed-form
-upper-bound mechanisms, the exact DP/pDP privacy profiles delta(sigma), and
-the failure frontier G(delta) above which any F(delta)*Delta/eps calibration
-stops achieving DP.
+profile certificate on every answer), four closed-form upper-bound
+mechanisms (the two built on inverfc certified too), the exact DP/pDP
+privacy profiles delta(sigma), and the failure frontier G(delta) above which
+any F(delta)*Delta/eps calibration stops achieving DP.
 
 Conventions used throughout:
 
@@ -29,7 +29,11 @@ Conventions used throughout:
     side.  The exact profile (DP for dp-opt, pDP for pdp-opt) is the only
     proof: one shared tail certifies every answer on it, raising sigma by a
     few ulps wherever rounding left the profile above delta, and reports
-    the residual 2 (profile - delta) <= 0 it achieved.
+    the residual 2 (profile - delta) <= 0 it achieved.  It also closes
+    mechanisms 1 (DP) and 3 (pDP), whose inverfc-based roots lie close
+    enough to the exact ones for rounding to matter.  Mechanisms 2, 4 and
+    the cdp route sit far above theirs and never miss on the tests' domain
+    sweep; a profile would double their cost, so they skip it.
 """
 
 from __future__ import annotations
@@ -85,11 +89,14 @@ class BracketError(RuntimeError):
     """No sign change found while scanning for a root bracket."""
 
 
-def _check_range(name: str, value: float, upper: float = math.inf) -> float:
-    """Return value if it is finite and in (0, upper), else raise a
-    ValueError that names the bound."""
-    if not (math.isfinite(value) and 0.0 < value < upper):
-        bound = "finite and positive" if upper == math.inf else f"in (0, {upper:g})"
+def _check_range(name: str, value: float, upper: float = math.inf, zero: bool = False) -> float:
+    """Return value if it is finite and in (0, upper), or in [0, inf) with
+    ``zero``, else raise a ValueError that names the bound."""
+    if not (math.isfinite(value) and (0.0 < value or zero and value == 0.0) and value < upper):
+        if upper < math.inf:
+            bound = f"in (0, {upper:g})"
+        else:
+            bound = "finite and >= 0" if zero else "finite and positive"
         raise ValueError(f"{name} must be {bound}, got {value!r}")
     return value
 
@@ -114,8 +121,7 @@ class Sensitivity:
     l2: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.l2) and self.l2 >= 0.0):
-            raise ValueError(f"l2 sensitivity must be finite and >= 0, got {self.l2!r}")
+        _check_range("l2 sensitivity", self.l2, zero=True)
 
 
 @dataclass(frozen=True)
@@ -127,8 +133,7 @@ class NoiseScale:
     kind: Mechanism
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma!r}")
+        _check_range("sigma", self.sigma, zero=True)
 
 
 @dataclass(frozen=True)
@@ -324,6 +329,30 @@ def _noise(
     return NoiseScale(sigma, kind)
 
 
+def _certified(sigma, kind, budget, sens, unit_profile) -> tuple[NoiseScale, float]:
+    """(_noise(sigma), achieved): sigma raised by 1, 2, 4, ... ulp until its
+    profile achieved = unit_profile(sigma / Delta, eps) <= delta.  Roots err
+    on the safe side, but an unevaluated Newton end point, or rounding in
+    inverfc or the profile, can leave sigma a few ulps short.  A sigma below
+    _FLOAT_MIN (Delta = 0, or too small) is left to ``_noise``, achieving
+    delta."""
+    eps, delta = budget.epsilon, budget.delta
+    achieved = delta
+    if sigma >= _FLOAT_MIN:
+        step = math.ulp(sigma)
+        for _ in range(_MAX_CERT_STEPS):
+            achieved = unit_profile(sigma / sens.l2, eps)
+            if achieved <= delta:
+                break
+            sigma += step
+            step += step
+        else:
+            raise ConvergenceError(
+                f"sigma {sigma!r} still misses its profile at eps={eps!r}, delta={delta!r}"
+            )
+    return _noise(sigma, kind, budget, sens), achieved
+
+
 # ---------------------------------------------------------------------------
 # classical calibrations
 
@@ -449,11 +478,12 @@ def sigma_mech1(budget: PrivacyBudget, sens: Sensitivity) -> NoiseScale:
     b = inverfc(2 delta / (1 - e^eps erfc(sqrt(u^2+eps)) / (2 delta +
     e^eps erfc(sqrt(eps))))) with u = inverfc(2 delta + e^eps erfc(sqrt(eps)))
     when 2 - e^eps erfc(sqrt(eps)) > 2 delta, else b = 0; then
-    sigma = (b + sqrt(b^2 + eps)) Delta / (eps sqrt(2)).
+    sigma = (b + sqrt(b^2 + eps)) Delta / (eps sqrt(2)), certified on the
+    DP profile.
     """
     b = _mech1_root(budget.epsilon, budget.delta)
     sigma = _sigma_from_root(b, budget.epsilon, sens.l2)
-    return _noise(sigma, Mechanism.MECH1, budget, sens)
+    return _certified(sigma, Mechanism.MECH1, budget, sens, _dp_delta_unit)[0]
 
 
 def sigma_mech2(budget: PrivacyBudget, sens: Sensitivity) -> NoiseScale:
@@ -469,10 +499,11 @@ def sigma_mech2(budget: PrivacyBudget, sens: Sensitivity) -> NoiseScale:
 
 
 def sigma_mech3(budget: PrivacyBudget, sens: Sensitivity) -> NoiseScale:
-    """Closed-form upper bound on the optimal pDP noise: f = inverfc(delta)."""
+    """Closed-form upper bound on the optimal pDP noise: f = inverfc(delta),
+    certified on the pDP profile."""
     f = inverfc(budget.delta)
     sigma = _sigma_from_root(f, budget.epsilon, sens.l2)
-    return _noise(sigma, Mechanism.MECH3, budget, sens)
+    return _certified(sigma, Mechanism.MECH3, budget, sens, _pdp_delta_unit)[0]
 
 
 def sigma_mech4(budget: PrivacyBudget, sens: Sensitivity) -> NoiseScale:
@@ -510,44 +541,18 @@ def dp_opt_zero_eps(delta: float, sens: Sensitivity) -> NoiseScale:
 # optimal-noise solvers
 
 
-def _certified(
-    sigma: float, l2: float, eps: float, delta: float, unit_profile
-) -> tuple[float, float]:
-    """(sigma, achieved): sigma raised by 1, 2, 4, ... ulp until its profile
-    achieved = unit_profile(sigma / l2, eps) <= delta.  The solvers' root
-    errs on the safe side, but an unevaluated Newton end point, or rounding
-    in the profile, can still leave it a few ulps short."""
-    step = math.ulp(sigma)
-    for _ in range(_MAX_CERT_STEPS):
-        achieved = unit_profile(sigma / l2, eps)
-        if achieved <= delta:
-            return sigma, achieved
-        sigma += step
-        step += step
-    raise ConvergenceError(
-        f"sigma {sigma!r} still misses its profile at eps={eps!r}, delta={delta!r}"
-    )
-
-
 def _solver_result(kind, budget, sens, unit_profile, root, lo, hi, iterations):
     """The solvers' shared tail: certify the sigma of root on unit_profile
-    and report it with the solve's telemetry.
-
-    Only a normal sigma (>= _FLOAT_MIN) is certified, and reported with the
-    residual it achieved; a smaller one (0 at Delta = 0, else a sensitivity
-    too small for the budget) is left to ``_noise``, with residual 0.
-    """
-    eps, delta = budget.epsilon, budget.delta
-    sigma, achieved = _sigma_from_root(root, eps, sens.l2), delta
-    if sigma >= _FLOAT_MIN:
-        sigma, achieved = _certified(sigma, sens.l2, eps, delta, unit_profile)
+    and report it with the solve's telemetry."""
+    sigma = _sigma_from_root(root, budget.epsilon, sens.l2)
+    noise, achieved = _certified(sigma, kind, budget, sens, unit_profile)
     return CalibrationResult(
-        noise=_noise(sigma, kind, budget, sens),
+        noise=noise,
         root=root,
         bracket_low=lo,
         bracket_high=hi,
         iterations=iterations,
-        residual=2.0 * (achieved - delta),
+        residual=2.0 * (achieved - budget.delta),
     )
 
 
@@ -713,11 +718,13 @@ def compare_grid(
     innermost.
 
     Each sigma is ``calibrate``'s and each flag ``achieves_dp``'s, bit for
-    bit.  dp-opt's flag is True without a second look at its profile: its
-    certificate checked the same DP profile on the same floats, and at
-    sensitivity 0 ``achieves_dp`` is True for every mechanism.
+    bit.  The flags of dp-opt and mech1 are True without a second look at
+    their profile: their certificate checked the same DP profile on the same
+    floats, and at sensitivity 0 ``achieves_dp`` is True for every mechanism.
+    A pDP certificate rounds along another path, so it proves no DP flag.
     """
     calibrations = [(kind, _CALIBRATIONS[kind]) for kind in MECHANISM_ORDER]
+    dp_certified = (Mechanism.DP_OPT, Mechanism.MECH1)
     delta_grid = list(delta_grid)
     rows = []
     for eps in eps_grid:
@@ -725,6 +732,6 @@ def compare_grid(
             budget = PrivacyBudget(eps, delta)
             for kind, calibration in calibrations:
                 noise = calibration(budget, sens, tol)
-                achieves = kind is Mechanism.DP_OPT or achieves_dp(noise, budget, sens)
+                achieves = kind in dp_certified or achieves_dp(noise, budget, sens)
                 rows.append((eps, delta, kind, noise.sigma, achieves))
     return rows

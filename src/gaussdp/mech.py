@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .calib import Mechanism, NoiseScale, PrivacyBudget, Sensitivity, calibrate
+from .calib import Mechanism, NoiseScale, PrivacyBudget, Sensitivity, _check_range, calibrate
 from .rng import generator, standard_normal
 
 if TYPE_CHECKING:
@@ -87,9 +87,7 @@ def sample_noise(dim: int, sigma: float, seed: int) -> NoisySample:
     dim = int(dim)
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    sigma = float(sigma)
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
+    sigma = _check_range("sigma", float(sigma), zero=True)
     if sigma == 0.0:
         values = np.zeros(dim)
     else:

@@ -33,8 +33,7 @@ class McdpParams:
     tau: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.mu) and self.mu >= 0.0):
-            raise ValueError(f"mu must be finite and >= 0, got {self.mu!r}")
+        _check_range("mu", self.mu, zero=True)
         _check_range("tau", self.tau)
 
 

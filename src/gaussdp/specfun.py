@@ -17,16 +17,19 @@ Implementation notes:
     (2k-1)!! / (2x^2)^k, eight terms, whose first omitted term is below
     2e-19 relative there; it stays finite (subnormal) up to the largest
     double.
-  * inverfc: Newton iteration on erfc started from the proven strict upper
-    bound sqrt(ln(2 / (sqrt(8p + 1) - 1))) (see ``inverfc_seed``), with a
-    bisection fallback should an iterate ever leave the bracket [0, seed].
+  * inverfc: Newton iteration on ln erfc(x) = ln erfcx(x) - x^2, started
+    from the proven strict upper bound sqrt(ln(2 / (sqrt(8p + 1) - 1))) (see
+    ``inverfc_seed``).  erfc is log-concave, so from above the root every
+    Newton step stays between the root and the last iterate: no fallback is
+    needed, and the erfcx form holds down to subnormal p.
   * inverf: inverfc(1 - p) for p >= 0.25; for smaller p, Newton on erf
     from p sqrt(pi)/2, free of the cancellation in 1 - p.
 
 Accuracy is validated in the test suite against a 50-digit mpmath oracle:
 erfc within 1e-15 relative on [-6, 26.5], erfcx within 1e-15 on [-26.5,
 1.7e308] and erf within 1e-14 on [-6, 6] (a weaker platform libm fails these
-checks), and inverfc within 1e-12 round-trip.
+checks), and inverfc within 1e-12 round-trip and within 1e-15 of the
+root at subnormal p.
 """
 
 from __future__ import annotations
@@ -105,7 +108,12 @@ def inverfc_seed(y: float) -> float:
 def inverfc(p: float) -> float:
     """Inverse of erfc on (0, 2): erfc(inverfc(p)) == p to ~1e-12 relative.
 
-    Positive for p < 1, zero at p == 1, negative for p > 1.
+    Positive for p < 1, zero at p == 1, negative for p > 1.  Newton runs on
+    g(x) = ln erfc(x) - ln p = ln erfcx(x) - x^2 - ln p from the strict upper
+    bound ``inverfc_seed(p)``.  erfc is log-concave, so g is concave and
+    decreasing, and each tangent from above the root lands between the root
+    and the last iterate: the iterates fall monotonely and never leave the
+    bracket.  erfcx neither overflows nor goes subnormal, down to p = 5e-324.
     """
     p = float(p)
     if not 0.0 < p < 2.0:
@@ -114,44 +122,17 @@ def inverfc(p: float) -> float:
         return 0.0
     if p > 1.0:
         return -inverfc(2.0 - p)
-
-    seed = inverfc_seed(p)  # strict upper bound on the root
-    if seed * seed > 705.0:
-        # subnormal p (< ~6e-309): exp(x^2) in the Newton step would
-        # overflow, so bisect on the guaranteed bracket instead
-        return _inverfc_bisect(p, seed)
-    x = seed
+    log_p = math.log(p)
+    x = inverfc_seed(p)
     for _ in range(60):
-        # Newton on f(x) = erfc(x) - p; f' = -2/sqrt(pi) * e^{-x^2}.
-        # erfc is convex and decreasing on x > 0, so starting above the root
-        # the first step may overshoot left once, then converges monotonely.
-        f = erfc(x) - p
-        if f == 0.0:
-            return x
-        dx = f * _SQRT_PI * 0.5 * math.exp(x * x)
-        x_new = x + dx
-        if not 0.0 <= x_new <= seed:
-            # Defensive only: plain bisection on the guaranteed bracket.
-            return _inverfc_bisect(p, seed)
-        # Near the root the step size is dominated by erfc's own rounding
-        # noise (a few ulp), so a sub-ulp threshold would never trigger.
-        if abs(dx) <= 5e-15 * x_new + 1e-17:
-            return x_new
-        x = x_new
-    return x
-
-
-def _inverfc_bisect(p: float, hi: float) -> float:
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+        # g'(x) = -(2/sqrt(pi)) / erfcx(x)
+        scaled = erfcx(x)
+        dx = (math.log(scaled) - x * x - log_p) * _SQRT_PI * 0.5 * scaled
+        x += dx
+        # convergence is quadratic: a step this short leaves under an ulp
+        if abs(dx) <= 1e-8 * x:
             break
-        if erfc(mid) > p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return x
 
 
 def inverf(p: float) -> float:

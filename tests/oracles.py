@@ -33,7 +33,14 @@ def oracle_erfcx(x):
 
 
 def oracle_inverfc(p):
-    return _erfinv(1 - mpf(float(p)))
+    """The root of ln erfc(x) = ln p.  Posed in logs it keeps its digits
+    down to p = 5e-324, where erfinv(1 - p) is inf: 1 - p rounds to 1 at
+    50 digits.  The start sqrt(-ln p) lies above the root, as erfc(x) <
+    e^{-x^2} for x > 0."""
+    p = mpf(float(p))
+    if p > 1:
+        return -oracle_inverfc(2 - p)
+    return mp.findroot(lambda x: mp.log(_erfc(x) / p), mp.sqrt(-mp.log(p)))
 
 
 def oracle_erfinv(p):

@@ -6,9 +6,10 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from gaussdp import specfun
 from gaussdp.specfun import erf, erfc, erfcx, inverf, inverfc, inverfc_seed
 
-from oracles import oracle_erf, oracle_erfc, oracle_erfcx, rel_err
+from oracles import oracle_erf, oracle_erfc, oracle_erfcx, oracle_inverfc, rel_err
 
 # frozen 50-digit oracle values (see oracles.py)
 ERF_1 = 0.8427007929497148693412206350826092592960669979663
@@ -127,11 +128,26 @@ def test_inverfc_domain(p):
 
 
 def test_inverfc_subnormal_argument():
-    # erfc underflows near x ~ 27, so the best any double can certify is a
-    # neighborhood; the root must stay inside the proven bracket
-    for p in (1e-310, 5e-324):
-        x = inverfc(p)
-        assert 26.5 < x < inverfc_seed(p)
+    # erfc(x) itself is subnormal near x ~ 27, but ln erfcx(x) - x^2 is
+    # not, so the root is found to full precision down to 5e-324
+    for p in (5e-324, 1e-320, 1e-310, 1e-300, 1e-100):
+        assert rel_err(inverfc(p), oracle_inverfc(p)) <= 1e-15, p
+
+
+def test_inverfc_evaluations(monkeypatch):
+    # Newton from the strict upper bound on the concave ln erfc converges
+    # quadratically and monotonely: a few erfc/erfcx evaluations suffice
+    # anywhere in (0, 1), subnormal p included
+    calls = []
+    for name in ("erfc", "erfcx"):
+        fn = getattr(specfun, name)
+        monkeypatch.setattr(specfun, name, lambda x, fn=fn: calls.append(x) or fn(x))
+    lo, hi = math.log10(5e-324), math.log10(1 - 1e-9)
+    for k in range(500):
+        p = 10 ** (lo + (hi - lo) * k / 499)
+        calls.clear()
+        inverfc(p)
+        assert len(calls) <= 6, p
 
 
 def test_inverf_zero():
