@@ -245,13 +245,17 @@ def _solve_decreasing(fn, lo, hi, target, tol, slope=None, fn_lo=None, fn_hi=Non
     there and equals target on a whole plateau, so a zero step (fn(base) ==
     target) is skipped rather than returned.  ``fn_lo``/``fn_hi`` give fn
     at the ends where known; a Newton solve evaluates fn(hi) otherwise,
-    which confirms the bracket.
+    which confirms the bracket.  A known fn_lo <= target means the root
+    sits at lo to within fn's rounding, and min(lo + 0.4 tol, hi) is
+    returned unevaluated, with the same slack.
 
     Every evaluation shrinks the bracket.  Returns (root, evaluations):
     root is that Newton end point or else the upper end of a final bracket
     narrower than tol (so fn(root) <= target), and evaluations counts every
     call of fn.
     """
+    if fn_lo is not None and fn_lo <= target:
+        return min(lo + 0.4 * tol, hi), 0
     evaluations = 0
     if slope is not None:
         if fn_hi is None:
@@ -616,11 +620,17 @@ def solve_pdp_opt(
     tol = _check_range("tol", float(tol))
     eps, delta = budget.epsilon, budget.delta
     target = 2.0 * delta
-    lo = 0.0 if delta < 0.5 else inverfc(target)
     hi = inverfc_seed(delta)
+    if delta < 0.5:
+        lo, fn_lo = 0.0, None
+    else:
+        # at large eps the root lies within ~1e-10 of this end, where
+        # Newton must start: from hi alone every step would bisect
+        lo = inverfc(target)
+        fn_lo = _pdp_equation(lo, eps)
     root, iterations = _solve_decreasing(
         lambda u: _pdp_equation(u, eps), lo, hi, target, tol,
-        lambda u: _pdp_slope(u, eps),
+        lambda u: _pdp_slope(u, eps), fn_lo=fn_lo,
     )
     return _solver_result(
         Mechanism.PDP_OPT, budget, sens, _pdp_delta_unit, root, lo, hi, iterations

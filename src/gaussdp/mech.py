@@ -7,9 +7,12 @@ random variable (the empirical oracle for the analytic profiles).
 An experiment runs a list of mechanisms at once: it builds its data once and
 draws each trial's standard-normal vector once, from a substream keyed by
 (seed, trial index), and every mechanism scales that same vector by its own
-sigma (common random numbers).  A report is a pure function of its
-arguments, and a mechanism's report does not depend on which other
-mechanisms share the run.
+sigma (common random numbers).  The draws of consecutive trials are
+stacked into blocks, and each mechanism scores a whole block in one array
+expression whose error, per row, is bit-identical to scoring that trial
+alone.  A report is a pure function of its arguments, and a mechanism's
+report depends neither on which other mechanisms share the run nor on the
+block size.
 
 numpy is imported inside each function that uses it, on first use, not at
 module load: ``gaussdp`` imports this module eagerly, and a process that
@@ -35,6 +38,11 @@ if TYPE_CHECKING:
 # substream indices under the experiment seed: 0 is the dataset, 1+t is trial t
 _DATASET_STREAM = 0
 _TRIAL_STREAM_BASE = 1
+
+# the most values in one block of stacked trial draws (_shared_trials): 200
+# trials of the README's experiments (10 dimensions, 48 cells) fit in one,
+# and each of a block's temporaries stays within a quarter of a megabyte
+_BLOCK = 1 << 15
 
 
 @dataclass(eq=False)
@@ -113,14 +121,15 @@ def privacy_loss_tails(
     seed: int,
 ) -> tuple[float, float]:
     """Empirical (Pr[L > eps], Pr[L < -eps]) for the privacy loss
-    L ~ N(S^2/(2 sigma^2), S^2/sigma^2) at output distance S."""
+    L ~ N(S^2/(2 sigma^2), S^2/sigma^2) at output distance S.
+
+    distance and epsilon must be finite and >= 0, sigma finite and positive.
+    """
     import numpy as np
 
-    distance = float(distance)
-    if distance < 0.0:
-        raise ValueError(f"distance must be >= 0, got {distance!r}")
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
+    distance = _check_range("distance", float(distance), zero=True)
+    sigma = _check_range("sigma", float(sigma))
+    epsilon = _check_range("epsilon", float(epsilon), zero=True)
     n_samples = int(n_samples)
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -166,16 +175,24 @@ def _shared_trials(
     truth: np.ndarray,
     trials: int,
     seed: int,
-    error: Callable[[np.ndarray, np.ndarray], float],
+    error: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> tuple[ExperimentReport, ...]:
     import numpy as np
 
-    # one standard-normal draw per trial, scaled by every sigma
+    # Each trial draws its own standard-normal vector, as a single-trial run
+    # would; consecutive trials' draws are stacked into a block of at most
+    # _BLOCK values (one row if a draw alone is larger), and every sigma
+    # scores the whole block in one array expression.  ``error`` reduces
+    # along the last axis, row by row, so the block size never shows.
     errors = np.empty((len(sigmas), trials))
-    for t in range(trials):
-        z = standard_normal(truth.size, generator(seed, _TRIAL_STREAM_BASE + t))
+    rows = max(1, _BLOCK // truth.size)
+    for start in range(0, trials, rows):
+        stop = min(start + rows, trials)
+        z = np.empty((stop - start, truth.size))
+        for t in range(start, stop):
+            z[t - start] = standard_normal(truth.size, generator(seed, _TRIAL_STREAM_BASE + t))
         for i, sigma in enumerate(sigmas):
-            errors[i, t] = error(truth + sigma * z, truth)
+            errors[i, start:stop] = error(truth + sigma * z, truth)
     return tuple(_report(*entry) for entry in zip(kinds, sigmas, errors))
 
 
@@ -224,10 +241,16 @@ def mean_experiment(
     center = standard_normal(d, data_gen)
     points = center + (data_gen.random((n, d)) - 0.5)
     answer = QueryAnswer(points.mean(axis=0))
-    return _shared_trials(
-        kinds, sigmas, answer.values, trials, seed,
-        lambda noisy, truth: float(np.linalg.norm(noisy - truth)),
-    )
+
+    def l2_error(noisy: np.ndarray, truth: np.ndarray) -> np.ndarray:
+        # sqrt(row . row) per row as a stack of (1, d) @ (d, 1) products:
+        # numpy runs each as the BLAS dot that np.linalg.norm of one row
+        # uses, so the error is bit-identical to a row's norm, which
+        # norm(axis=-1) and einsum, summing in another order, are not
+        diff = noisy - truth
+        return np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
+
+    return _shared_trials(kinds, sigmas, answer.values, trials, seed, l2_error)
 
 
 def histogram_experiment(
@@ -254,7 +277,7 @@ def histogram_experiment(
     counts = histogram_counts(rows)
     return _shared_trials(
         kinds, sigmas, counts, trials, seed,
-        lambda noisy, truth: float(np.mean((noisy - truth) ** 2)),
+        lambda noisy, truth: np.mean((noisy - truth) ** 2, axis=-1),
     )
 
 

@@ -9,6 +9,7 @@ and profile inversion).
 
 import math
 import random
+import statistics
 import sys
 from dataclasses import replace
 
@@ -17,6 +18,7 @@ from hypothesis import given, strategies as st
 from mpmath import mp, mpf
 
 from gaussdp.calib import (
+    DEFAULT_TOL,
     MECHANISM_ORDER,
     ConvergenceError,
     Mechanism,
@@ -319,6 +321,31 @@ def test_solver_evaluations_on_request_ranges():
         for solve, _ in SOLVERS:
             result = solve(budget(eps, delta), Sensitivity(sens))
             assert result.iterations <= 6, (solve.__name__, eps, delta)
+
+
+def test_pdp_opt_evaluations_at_large_delta():
+    # at delta >= 0.5 and large eps the root lies within ~1e-10 of the
+    # bracket's low end inverfc(2 delta), so Newton must start from there
+    rng = random.Random(5)
+    evaluations = []
+    for _ in range(5000):
+        eps = math.exp(rng.uniform(math.log(1e-2), math.log(50.0)))
+        delta = rng.uniform(0.5, 1 - 1e-9)
+        result = solve_pdp_opt(budget(eps, delta), UNIT)
+        assert pdp_delta_profile(result.noise, eps, UNIT) <= delta, (eps, delta)
+        evaluations.append(result.iterations)
+    assert statistics.median(evaluations) <= 5
+    assert sum(n > 10 for n in evaluations) < 0.01 * len(evaluations)
+
+
+def test_pdp_opt_root_at_the_low_end():
+    # erfc(sqrt(lo^2 + eps)) is below an ulp of 2 delta: the equation
+    # already meets its target at lo = inverfc(2 delta), unevaluated
+    eps, delta = 37.60925678097688, 0.5936170793010103
+    result = solve_pdp_opt(budget(eps, delta), UNIT)
+    assert result.iterations == 0
+    assert result.root == result.bracket_low + 0.4 * DEFAULT_TOL
+    assert pdp_delta_profile(result.noise, eps, UNIT) <= delta
 
 
 # the profile each non-classical calibration must pass

@@ -5,6 +5,7 @@ import math
 
 import pytest
 from hypothesis import given, strategies as st
+from mpmath import mp, mpf
 
 from gaussdp.calib import (
     Mechanism,
@@ -23,6 +24,7 @@ from gaussdp.compose import (
     effective_unit_sigma,
 )
 from gaussdp.mech import privacy_loss_tails
+from oracles import oracle_dp_delta, rel_err
 
 UNIT = Sensitivity(1.0)
 
@@ -94,6 +96,27 @@ def test_composed_dp_monte_carlo():
         / math.sqrt(n)
     )
     assert abs(got - expected) <= 3.0 * stderr
+
+
+# (terms, eps): multi-term compositions, one with a term that leaks nothing
+GDP_COMPOSITIONS = (
+    (((1.0, 2.0), (0.5, 1.3), (2.0, 7.0)), 0.5),
+    (((1.0, 2.0), (0.5, 1.3), (2.0, 7.0)), 3.0),
+    (((0.3, 1.1), (0.0, 0.2), (1.7, 9.5), (0.01, 0.004)), 1.0),
+    (tuple((1.0 + 0.1 * i, 12.0 + i) for i in range(20)), 2.0),
+    (((1e-3, 0.01), (2e-3, 0.05)), 0.1),
+)
+
+
+@pytest.mark.parametrize("pairs, eps", GDP_COMPOSITIONS)
+def test_composed_dp_matches_gdp_composition(pairs, eps):
+    # Dong, Roth & Su (Gaussian Differential Privacy, 2019): the terms
+    # compose to mu-GDP with mu = sqrt(sum (Delta_i / sigma_i)^2), whose DP
+    # profile is that of a unit-sensitivity Gaussian at sigma = 1 / mu;
+    # mu is formed here at 50 digits, apart from effective_unit_sigma
+    mu = mp.sqrt(mp.fsum((mpf(d) / mpf(s)) ** 2 for d, s in pairs))
+    got = composed_dp_delta([term(d, s) for d, s in pairs], eps)
+    assert rel_err(got, oracle_dp_delta(1 / mu, eps)) <= 1e-11
 
 
 def test_composed_pdp_single_term_consistency():

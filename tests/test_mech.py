@@ -20,6 +20,7 @@ from gaussdp.calib import (
     solve_pdp_opt,
 )
 from gaussdp.mech import (
+    ExperimentReport,
     QueryAnswer,
     histogram_counts,
     histogram_experiment,
@@ -104,6 +105,30 @@ def test_randomize_chi_square_expectation():
 
 def test_loss_zero_distance():
     assert privacy_loss_sample(0.0, 1.0, 1.0, 100, seed=1) == 0.0
+
+
+@pytest.mark.parametrize(
+    "distance, sigma, epsilon, message",
+    [
+        (math.nan, 1.0, 1.0, "distance must be finite and >= 0, got nan"),
+        (math.inf, 1.0, 1.0, "distance must be finite and >= 0, got inf"),
+        (-1.0, 1.0, 1.0, "distance must be finite and >= 0, got -1.0"),
+        (1.0, math.nan, 1.0, "sigma must be finite and positive, got nan"),
+        (1.0, math.inf, 1.0, "sigma must be finite and positive, got inf"),
+        (1.0, 0.0, 1.0, "sigma must be finite and positive, got 0.0"),
+        (1.0, 1.0, math.nan, "epsilon must be finite and >= 0, got nan"),
+        (1.0, 1.0, math.inf, "epsilon must be finite and >= 0, got inf"),
+        (1.0, 1.0, -0.5, "epsilon must be finite and >= 0, got -0.5"),
+    ],
+)
+def test_loss_rejects_inputs_outside_the_domain(distance, sigma, epsilon, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        privacy_loss_tails(distance, sigma, epsilon, 100, seed=1)
+
+
+def test_loss_at_zero_epsilon():
+    # Pr[|L| > 0] = 1 for a non-degenerate loss
+    assert privacy_loss_sample(1.0, 1.0, 0.0, 1000, seed=2) == 1.0
 
 
 def test_loss_at_pdp_boundary():
@@ -325,6 +350,47 @@ def test_experiments_reject_a_single_mechanism():
         mean_experiment(50, 3, budget, Mechanism.DP_OPT, trials=3, seed=0)
     with pytest.raises(TypeError):
         histogram_experiment([("a",)], budget, "mech1", trials=3, seed=0)
+
+
+def _experiment_runs():
+    budget = PrivacyBudget(0.4, 1e-6)
+    _, rows = synthetic_census_rows(300, seed=5)
+    return (
+        (6, lambda: mean_experiment(80, 6, budget, MECHANISM_ORDER, trials=7, seed=13)),
+        (48, lambda: histogram_experiment(rows, budget, MECHANISM_ORDER, trials=7, seed=13)),
+    )
+
+
+@pytest.mark.parametrize("block", ["one value", "three rows", "whole run"])
+def test_experiment_reports_do_not_depend_on_the_block(monkeypatch, block):
+    # 7 trials scored one row at a time, in blocks of 3 + 3 + 1 rows, and
+    # in one block of all 7 give the default block's reports exactly
+    for size, run in _experiment_runs():
+        default = run()
+        values = {"one value": 1, "three rows": 3 * size, "whole run": 7 * size + 1}[block]
+        with monkeypatch.context() as m:
+            m.setattr(gaussdp.mech, "_BLOCK", values)
+            assert run() == default
+
+
+def test_experiment_reports_pinned():
+    # frozen reports of trial-by-trial scoring, which block scoring must
+    # reproduce bit for bit
+    budget = PrivacyBudget(0.5, 1e-5)
+    kinds = (Mechanism.DP_OPT, Mechanism.MECH3, Mechanism.DWORK2014)
+    assert mean_experiment(200, 5, budget, kinds, trials=9, seed=21) == (
+        ExperimentReport(Mechanism.DP_OPT, 0.07861821226300647, 9, 0.16217320643157548, 0.021087515628112088),
+        ExperimentReport(Mechanism.MECH3, 0.10002074100047179, 9, 0.206322222431675, 0.026828248547891134),
+        ExperimentReport(Mechanism.DWORK2014, 0.1083331390493437, 9, 0.22346899041224694, 0.029057856913650874),
+    )
+    _, rows = synthetic_census_rows(400, seed=2)
+    budget = PrivacyBudget(1.0, 1e-6)
+    kinds = (Mechanism.PDP_OPT, Mechanism.MECH1, Mechanism.MECH4)
+    assert histogram_experiment(rows, budget, kinds, trials=9, seed=5) == (
+        ExperimentReport(Mechanism.PDP_OPT, 4.916014274014054, 9, 25.166936474117033, 1.9424157854037165),
+        ExperimentReport(Mechanism.MECH1, 4.634136897111424, 9, 22.36360437428458, 1.7260510908750974),
+        ExperimentReport(Mechanism.MECH4, 5.218769162926226, 9, 28.36222235462431, 2.189031965309369),
+    )
 
 
 def test_run_experiments_script(capsys, monkeypatch):
