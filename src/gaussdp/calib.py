@@ -170,6 +170,16 @@ def _sigma_from_root(u: float, eps: float, l2: float) -> float:
     return l2 / (_SQRT2 * (s - u))
 
 
+def _half_square_ratio(x: float, y: float) -> float:
+    """x^2 / (2 y^2), as such where both squares are normal doubles, else
+    as (x / y)^2 / 2, which leaves the double range only with the answer."""
+    num, den = x * x, 2.0 * y * y
+    if _FLOAT_MIN <= min(num, den) and max(num, den) < math.inf:
+        return num / den
+    ratio = x / y
+    return 0.5 * ratio * ratio
+
+
 # Below this width b - a, erfcx(a) - erfcx(b) is integrated rather than
 # subtracted; a dp-opt request with eps >= 1e-2 and delta >= 1e-12 never
 # comes this close (b - a >= 9.8e-4 there).

@@ -1,13 +1,16 @@
 """Command-line front end.
 
 Subcommands: calibrate, compare, profile, region, compose, experiment.
-Tables are emitted as RFC-4180 CSV (header row) or as JSON, one object per
-line; floats are printed with Python's shortest round-trip repr, so parsing
-an emitted file recovers the exact values.  `compare` calibrates its whole
-grid in one ``calib.compare_grid`` call and formats its CSV itself, each
-grid value's repr once, into the bytes the csv module would write (no cell
-of that table ever needs quoting).  Nothing is written until the whole table
-is built, so a failing command leaves an existing output file as it was.
+Every command builds its table as a list of row tuples and writes it through
+``_emit``: CSV with a header row, or JSON, one object per line.  A CSV line
+joins its cells with commas, floats printed as Python's shortest round-trip
+repr (so parsing an emitted file recovers the exact values), bools as
+true/false and anything else by ``str``, so a Mechanism prints as its tag.
+No cell needs quoting: each is a number, a tag, true/false or the classical
+warning, none of which holds a comma, quote or newline.  The one other
+writer is ``compare``'s CSV, which formats its lines itself so that each
+grid value is repr'd once.  Nothing is written until the whole table is
+built, so a failing command leaves an existing output file as it was.
 Exit status: 0 on success, 2 on usage or domain errors, 3 on numerical
 non-convergence or bracket failure.
 """
@@ -15,9 +18,7 @@ non-convergence or bracket failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import os
 import stat
@@ -67,26 +68,16 @@ def _parse_term(text: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(f"term must look like DELTA:SIGMA, got {text!r}")
 
 
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _emit(records: list[dict], fieldnames: list[str], args) -> None:
-    buffer = io.StringIO()
+def _emit(fieldnames: list[str], rows: list[tuple], args) -> None:
     if args.format == "csv":
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(fieldnames)
-        for record in records:
-            writer.writerow([_cell(record[name]) for name in fieldnames])
+        text = "".join(
+            ",".join("true" if cell is True else "false" if cell is False else str(cell)
+                     for cell in row) + "\n"
+            for row in [fieldnames, *rows]
+        )
     else:
-        for record in records:
-            buffer.write(json.dumps({name: record[name] for name in fieldnames}))
-            buffer.write("\n")
-    _write_text(buffer.getvalue(), args)
+        text = "".join(json.dumps(dict(zip(fieldnames, row))) + "\n" for row in rows)
+    _write_text(text, args)
 
 
 def _write_text(text: str, args) -> None:
@@ -113,45 +104,26 @@ def _budget(args) -> PrivacyBudget:
     return PrivacyBudget(args.eps, args.delta)
 
 
-# Each entry looks its solver up when called, so that rebinding a module
-# name (as a call tracer does) also reroutes the calibrate command.
-_SOLVERS = {
-    Mechanism.DP_OPT: lambda budget, sens, tol: solve_dp_opt(budget, sens, tol),
-    Mechanism.PDP_OPT: lambda budget, sens, tol: solve_pdp_opt(budget, sens, tol),
-}
-
-
-def _calibration_record(kind: Mechanism, budget: PrivacyBudget, sens: Sensitivity, tol: float) -> dict:
-    if kind in _SOLVERS:
-        result = _SOLVERS[kind](budget, sens, tol)
-        sigma, iterations, residual = result.noise.sigma, result.iterations, result.residual
-    else:
+def cmd_calibrate(args) -> None:
+    kind, budget, sens = Mechanism(args.mech), _budget(args), Sensitivity(args.sens)
+    # built per call, so that rebinding a solver's module name (as a call
+    # tracer does) also reroutes this command
+    solver = {Mechanism.DP_OPT: solve_dp_opt, Mechanism.PDP_OPT: solve_pdp_opt}.get(kind)
+    if solver is None:
         sigma, iterations, residual = calibrate(kind, budget, sens).sigma, 0, 0.0
+    else:
+        result = solver(budget, sens, args.tol)
+        sigma, iterations, residual = result.noise.sigma, result.iterations, result.residual
     warning = ""
     if kind in _CLASSICAL and budget.epsilon > 1.0:
         warning = (
             f"epsilon > 1 voids the {kind} guarantee (its proof assumes "
             f"epsilon <= 1); see the region command for the failure frontier"
         )
-    return {
-        "mechanism": str(kind),
-        "epsilon": budget.epsilon,
-        "delta": budget.delta,
-        "sensitivity": sens.l2,
-        "sigma": sigma,
-        "iterations": iterations,
-        "residual": residual,
-        "warning": warning,
-    }
-
-
-def cmd_calibrate(args) -> None:
-    record = _calibration_record(
-        Mechanism(args.mech), _budget(args), Sensitivity(args.sens), args.tol
-    )
     _emit(
-        [record],
-        ["mechanism", "epsilon", "delta", "sensitivity", "sigma", "iterations", "residual", "warning"],
+        ["mechanism", "epsilon", "delta", "sensitivity",
+         "sigma", "iterations", "residual", "warning"],
+        [(kind, budget.epsilon, budget.delta, sens.l2, sigma, iterations, residual, warning)],
         args,
     )
 
@@ -160,14 +132,10 @@ def cmd_compare(args) -> None:
     rows = compare_grid(args.eps_grid, args.delta_grid, Sensitivity(args.sens), args.tol)
     fieldnames = ["epsilon", "delta", "mechanism", "sigma", "achieves_dp"]
     if args.format == "json":
-        records = [
-            dict(zip(fieldnames, (eps, delta, str(kind), sigma, achieves)))
-            for eps, delta, kind, sigma, achieves in rows
-        ]
-        _emit(records, fieldnames, args)
+        _emit(fieldnames, rows, args)
         return
-    # every cell is a float repr, a mechanism tag or true/false, none of
-    # which the csv module would quote
+    # _emit's bytes, but each grid value is repr'd once: formatting every
+    # cell of a 30x30 grid took three times as long
     grid_text = {value: repr(value) for value in (*args.eps_grid, *args.delta_grid)}
     lines = [",".join(fieldnames)]
     lines += [
@@ -181,41 +149,33 @@ def cmd_compare(args) -> None:
 
 def cmd_profile(args) -> None:
     sens = Sensitivity(args.sens)
-    records = []
-    for sigma in args.sigma_grid:
-        noise = NoiseScale(sigma, Mechanism.DP_OPT)
-        records.append(
-            {
-                "sigma": sigma,
-                "dp_delta": dp_delta_profile(noise, args.eps, sens),
-                "pdp_delta": pdp_delta_profile(noise, args.eps, sens),
-            }
-        )
-    _emit(records, ["sigma", "dp_delta", "pdp_delta"], args)
+    noises = (NoiseScale(sigma, Mechanism.DP_OPT) for sigma in args.sigma_grid)
+    rows = [
+        (n.sigma, dp_delta_profile(n, args.eps, sens), pdp_delta_profile(n, args.eps, sens))
+        for n in noises
+    ]
+    _emit(["sigma", "dp_delta", "pdp_delta"], rows, args)
 
 
 def cmd_region(args) -> None:
     unit = Sensitivity(1.0)
-    records = []
+    rows = []
     for delta in args.delta_grid:
         # F(delta) is the classical sigma at eps = 1 and unit sensitivity
         budget = PrivacyBudget(1.0, delta)
-        record = {"delta": delta}
-        for kind in _CLASSICAL:
-            f_of_delta = calibrate(kind, budget, unit).sigma
-            record[f"G_{kind}"] = failure_threshold(f_of_delta, delta, args.tol)
-        records.append(record)
-    _emit(records, ["delta", "G_dwork2014", "G_dwork2006"], args)
+        g_2006, g_2014 = (
+            failure_threshold(calibrate(kind, budget, unit).sigma, delta, args.tol)
+            for kind in _CLASSICAL
+        )
+        rows.append((delta, g_2014, g_2006))
+    _emit(["delta", "G_dwork2014", "G_dwork2006"], rows, args)
 
 
 def cmd_compose(args) -> None:
     terms = [CompositionTerm(Sensitivity(d), s) for d, s in args.term]
-    record = {
-        "sigma_star": effective_unit_sigma(terms),
-        "dp_delta": composed_dp_delta(terms, args.eps),
-        "pdp_delta": composed_pdp_delta(terms, args.eps),
-    }
-    _emit([record], ["sigma_star", "dp_delta", "pdp_delta"], args)
+    row = (effective_unit_sigma(terms), composed_dp_delta(terms, args.eps),
+           composed_pdp_delta(terms, args.eps))
+    _emit(["sigma_star", "dp_delta", "pdp_delta"], [row], args)
 
 
 def cmd_experiment(args) -> None:
@@ -226,18 +186,10 @@ def cmd_experiment(args) -> None:
             sensitivity=args.sens,
         )
     else:
-        _, rows = read_categorical_csv(args.csv)
-        reports = histogram_experiment(rows, budget, MECHANISM_ORDER, args.trials, args.seed)
-    records = [
-        {
-            "mechanism": str(report.mechanism),
-            "trials": report.trials,
-            "metric": report.metric,
-            "metric_stderr": report.metric_stderr,
-        }
-        for report in reports
-    ]
-    _emit(records, ["mechanism", "trials", "metric", "metric_stderr"], args)
+        _, records = read_categorical_csv(args.csv)
+        reports = histogram_experiment(records, budget, MECHANISM_ORDER, args.trials, args.seed)
+    rows = [(r.mechanism, r.trials, r.metric, r.metric_stderr) for r in reports]
+    _emit(["mechanism", "trials", "metric", "metric_stderr"], rows, args)
 
 
 def _add_output_flags(parser: argparse.ArgumentParser, solves: bool = False) -> None:

@@ -32,17 +32,38 @@ class CompositionTerm:
 
 def effective_unit_sigma(terms: Iterable[CompositionTerm]) -> float:
     """sigma_star = (sum Delta_i^2 / sigma_i^2)^(-1/2): the unit-sensitivity
-    noise whose single-mechanism privacy equals the composition's."""
+    noise whose single-mechanism privacy equals the composition's.
+
+    A sigma_star outside the normal double range raises a ValueError.
+    """
     terms = list(terms)
     if not terms:
         raise ValueError("composition requires at least one term")
-    # fsum makes the sum exact, hence invariant under term reordering
-    total = math.fsum(
-        (term.sensitivity.l2 / term.sigma) ** 2 for term in terms
-    )
-    if total == 0.0:
+    live = [term for term in terms if term.sensitivity.l2 > 0.0]
+    if not live:
         raise ValueError("composition requires at least one positive-sensitivity term")
-    return 1.0 / math.sqrt(total)
+    ratios = [term.sensitivity.l2 / term.sigma for term in live]
+    # from 2^-511 to 2^511 a ratio squares to a normal double
+    if all(2.0 ** -511 <= ratio <= 2.0 ** 511 for ratio in ratios):
+        try:
+            # fsum makes the sum exact, hence invariant under term reordering
+            return 1.0 / math.sqrt(math.fsum(ratio ** 2 for ratio in ratios))
+        except OverflowError:  # the sum of the squares
+            pass
+    # Else each ratio, q 2^k with q in (1/2, 2), enters the norm scaled by
+    # 2^-top, the largest 2^k, and sigma_star = 2^-top / norm.
+    parts = [(math.frexp(term.sensitivity.l2), math.frexp(term.sigma)) for term in live]
+    top = max(e_l2 - e_sigma for (_, e_l2), (_, e_sigma) in parts)
+    scaled = (math.ldexp(m_l2 / m_sigma, e_l2 - e_sigma - top)
+              for (m_l2, e_l2), (m_sigma, e_sigma) in parts)
+    mantissa, exponent = math.frexp(1.0 / math.hypot(*scaled))
+    exponent -= top
+    if not -1021 <= exponent <= 1024:  # frexp's exponents of the normal doubles
+        size = "small" if exponent < -1021 else "large"
+        raise ValueError(
+            f"the composition's sigma_star is too {size}: it leaves the normal double range"
+        )
+    return math.ldexp(mantissa, exponent)
 
 
 def composed_dp_delta(terms: Sequence[CompositionTerm], epsilon: float) -> float:

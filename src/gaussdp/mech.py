@@ -29,7 +29,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .calib import Mechanism, NoiseScale, PrivacyBudget, Sensitivity, _check_range, calibrate
+from .calib import (
+    Mechanism, NoiseScale, PrivacyBudget, Sensitivity, _check_range, _half_square_ratio, calibrate,
+)
 from .rng import generator, standard_normal
 
 if TYPE_CHECKING:
@@ -135,8 +137,11 @@ def privacy_loss_tails(
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if distance == 0.0:
         return 0.0, 0.0
-    mean = distance * distance / (2.0 * sigma * sigma)
+    mean = _half_square_ratio(distance, sigma)
     sd = distance / sigma
+    if mean == math.inf:
+        # every loss mean + sd z is +inf, though inf + sd z is NaN at z < 0
+        return 1.0, 0.0
     loss = mean + sd * standard_normal(n_samples, generator(seed))
     above = float(np.count_nonzero(loss > epsilon)) / n_samples
     below = float(np.count_nonzero(loss < -epsilon)) / n_samples

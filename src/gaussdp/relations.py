@@ -17,6 +17,7 @@ from .calib import (
     PrivacyBudget,
     Sensitivity,
     _check_range,
+    _half_square_ratio,
     _log_ratio,
     _noise,
 )
@@ -80,10 +81,9 @@ def mcdp_to_pdp_delta(params: McdpParams, epsilon: float) -> float:
     epsilon = float(epsilon)
     if not (math.isfinite(epsilon) and epsilon > params.mu):
         raise ValueError(f"epsilon must exceed mu={params.mu!r}, got {epsilon!r}")
-    t2 = 2.0 * params.tau * params.tau
-    lo = epsilon - params.mu
-    hi = epsilon + params.mu
-    return math.exp(-lo * lo / t2) + math.exp(-hi * hi / t2)
+    lo = _half_square_ratio(epsilon - params.mu, params.tau)
+    hi = _half_square_ratio(epsilon + params.mu, params.tau)
+    return math.exp(-lo) + math.exp(-hi)
 
 
 def sigma_via_cdp_route(budget: PrivacyBudget, sens: Sensitivity) -> NoiseScale:
@@ -106,4 +106,4 @@ def zcdp_of_sigma(sigma: NoiseScale, sens: Sensitivity) -> ZcdpParams:
     """rho-zCDP achieved by Gaussian noise sigma: rho = Delta^2 / (2 sigma^2)."""
     if sigma.sigma <= 0.0:
         raise ValueError("zCDP conversion requires sigma > 0")
-    return ZcdpParams(sens.l2 * sens.l2 / (2.0 * sigma.sigma * sigma.sigma))
+    return ZcdpParams(_half_square_ratio(sens.l2, sigma.sigma))

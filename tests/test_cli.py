@@ -13,9 +13,39 @@ from pathlib import Path
 import pytest
 
 import gaussdp.cli
-from gaussdp.calib import MECHANISM_ORDER, PrivacyBudget, Sensitivity, achieves_dp, calibrate
+from gaussdp.calib import (
+    DEFAULT_TOL,
+    MECHANISM_ORDER,
+    Mechanism,
+    NoiseScale,
+    PrivacyBudget,
+    Sensitivity,
+    achieves_dp,
+    calibrate,
+    dp_delta_profile,
+    failure_threshold,
+    pdp_delta_profile,
+    sigma_dwork2006,
+    sigma_dwork2014,
+    solve_dp_opt,
+    solve_pdp_opt,
+)
 from gaussdp.cli import main
-from gaussdp.mech import read_categorical_csv, synthetic_census_rows, write_categorical_csv
+from gaussdp.compose import (
+    CompositionTerm,
+    composed_dp_delta,
+    composed_pdp_delta,
+    effective_unit_sigma,
+)
+from gaussdp.mech import (
+    histogram_experiment,
+    mean_experiment,
+    read_categorical_csv,
+    synthetic_census_rows,
+    write_categorical_csv,
+)
+
+UNIT = Sensitivity(1.0)
 
 
 def run_cli(capsys, *argv):
@@ -161,6 +191,32 @@ def _scalar_compare_records(eps_grid, delta_grid, sens):
     return records
 
 
+def _cell(value):
+    # how the CLI rendered a cell when it wrote its tables with csv.writer
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def _assert_renders_as_csv_writer(capsys, tmp_path, argv, records):
+    # the command's CSV is csv.writer's rendering of the records, to stdout
+    # and to --output alike, and its JSON one json.dumps per record
+    fieldnames = list(records[0])
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(fieldnames)
+    for record in records:
+        writer.writerow([_cell(record[name]) for name in fieldnames])
+    assert run_cli(capsys, *argv) == (0, buffer.getvalue(), "")
+    path = tmp_path / "table.out"
+    assert run_cli(capsys, *argv, "--output", str(path)) == (0, "", "")
+    assert path.read_bytes() == buffer.getvalue().encode()
+    json_lines = "".join(json.dumps(record) + "\n" for record in records)
+    assert run_cli(capsys, *argv, "--format", "json") == (0, json_lines, "")
+
+
 @pytest.mark.parametrize("sens", [1e-3, 1.0, 1e3])
 def test_compare_bytes_equal_csv_writer_rendering(capsys, tmp_path, sens):
     # a duplicated grid value (1 and 1.0), a classical failure (eps 15) and
@@ -170,18 +226,113 @@ def test_compare_bytes_equal_csv_writer_rendering(capsys, tmp_path, sens):
     records = _scalar_compare_records(
         [float(v) for v in eps_text.split(",")], [float(v) for v in delta_text.split(",")], sens,
     )
-    fieldnames = list(records[0])
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(fieldnames)
-    for record in records:
-        writer.writerow([gaussdp.cli._cell(record[name]) for name in fieldnames])
-    assert run_cli(capsys, *argv) == (0, buffer.getvalue(), "")
-    path = tmp_path / "compare.csv"
-    assert run_cli(capsys, *argv, "--output", str(path)) == (0, "", "")
-    assert path.read_bytes() == buffer.getvalue().encode()
-    json_lines = "".join(json.dumps(record) + "\n" for record in records)
-    assert run_cli(capsys, *argv, "--format", "json") == (0, json_lines, "")
+    _assert_renders_as_csv_writer(capsys, tmp_path, argv, records)
+
+
+_CLASSICAL_WARNING = (
+    "epsilon > 1 voids the {} guarantee (its proof assumes epsilon <= 1); "
+    "see the region command for the failure frontier"
+)
+
+
+@pytest.mark.parametrize(
+    "eps,delta,sens",
+    # no warning; the classical warning; sensitivity 0
+    [(1.0, 1e-5, 1.0), (10.0, 0.1, 1e-3), (2.0, 1e-4, 0.0)],
+    ids=["plain", "warning", "zero-sensitivity"],
+)
+@pytest.mark.parametrize("kind", MECHANISM_ORDER, ids=str)
+def test_calibrate_bytes_equal_csv_writer_rendering(capsys, tmp_path, kind, eps, delta, sens):
+    budget, sensitivity = PrivacyBudget(eps, delta), Sensitivity(sens)
+    solver = {Mechanism.DP_OPT: solve_dp_opt, Mechanism.PDP_OPT: solve_pdp_opt}.get(kind)
+    if solver is None:
+        sigma, iterations, residual = calibrate(kind, budget, sensitivity).sigma, 0, 0.0
+    else:
+        result = solver(budget, sensitivity)
+        sigma, iterations, residual = result.noise.sigma, result.iterations, result.residual
+    classical = kind in (Mechanism.DWORK2006, Mechanism.DWORK2014)
+    record = {
+        "mechanism": str(kind), "epsilon": eps, "delta": delta, "sensitivity": sens,
+        "sigma": sigma, "iterations": iterations, "residual": residual,
+        "warning": _CLASSICAL_WARNING.format(kind) if classical and eps > 1.0 else "",
+    }
+    argv = ("calibrate", "--mech", str(kind), "--eps", repr(eps), "--delta", repr(delta),
+            "--sens", repr(sens))
+    _assert_renders_as_csv_writer(capsys, tmp_path, argv, [record])
+
+
+def _profile_case(tmp_path):
+    grid, eps, sens = [0.5, 1.0, 2.0, 4.0], 1.0, Sensitivity(2.5)
+    argv = ("profile", "--sigma-grid", "0.5,1,2,4", "--eps", "1", "--sens", "2.5")
+    records = []
+    for sigma in grid:
+        noise = NoiseScale(sigma, Mechanism.DP_OPT)
+        records.append({
+            "sigma": sigma,
+            "dp_delta": dp_delta_profile(noise, eps, sens),
+            "pdp_delta": pdp_delta_profile(noise, eps, sens),
+        })
+    return argv, records
+
+
+def _region_case(tmp_path):
+    argv = ("region", "--delta-grid", "1e-3,1e-6")
+    records = []
+    for delta in (1e-3, 1e-6):
+        budget = PrivacyBudget(1.0, delta)
+        records.append({
+            "delta": delta,
+            "G_dwork2014": failure_threshold(sigma_dwork2014(budget, UNIT).sigma, delta, DEFAULT_TOL),
+            "G_dwork2006": failure_threshold(sigma_dwork2006(budget, UNIT).sigma, delta, DEFAULT_TOL),
+        })
+    return argv, records
+
+
+def _compose_case(tmp_path):
+    argv = ("compose", "--term", "1:1", "--term", "2:2", "--term", "3:3", "--term", "0:5",
+            "--eps", "1")
+    terms = [CompositionTerm(Sensitivity(d), s) for d, s in ((1, 1), (2, 2), (3, 3), (0, 5))]
+    return argv, [{
+        "sigma_star": effective_unit_sigma(terms),
+        "dp_delta": composed_dp_delta(terms, 1.0),
+        "pdp_delta": composed_pdp_delta(terms, 1.0),
+    }]
+
+
+def _report_records(reports):
+    return [
+        {"mechanism": str(r.mechanism), "trials": r.trials, "metric": r.metric,
+         "metric_stderr": r.metric_stderr}
+        for r in reports
+    ]
+
+
+def _experiment_mean_case(tmp_path):
+    argv = ("experiment", "mean", "--n", "300", "--d", "4", "--eps", "0.5", "--delta", "1e-5",
+            "--trials", "30", "--seed", "7")
+    reports = mean_experiment(300, 4, PrivacyBudget(0.5, 1e-5), MECHANISM_ORDER, 30, 7)
+    return argv, _report_records(reports)
+
+
+def _experiment_hist_case(tmp_path):
+    header, rows = synthetic_census_rows(500, seed=4)
+    path = tmp_path / "census.csv"
+    write_categorical_csv(path, header, rows)
+    argv = ("experiment", "hist", "--csv", str(path), "--eps", "0.5", "--delta", "1e-6",
+            "--trials", "30", "--seed", "7")
+    _, read_rows = read_categorical_csv(path)
+    reports = histogram_experiment(read_rows, PrivacyBudget(0.5, 1e-6), MECHANISM_ORDER, 30, 7)
+    return argv, _report_records(reports)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_profile_case, _region_case, _compose_case, _experiment_mean_case, _experiment_hist_case],
+    ids=["profile", "region", "compose", "experiment-mean", "experiment-hist"],
+)
+def test_command_bytes_equal_csv_writer_rendering(capsys, tmp_path, case):
+    argv, records = case(tmp_path)
+    _assert_renders_as_csv_writer(capsys, tmp_path, argv, records)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -336,6 +487,17 @@ def test_compose_malformed_term_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["compose", "--term", "nonsense", "--eps", "1"])
     assert excinfo.value.code == 2
+
+
+def test_compose_squares_outside_the_double_range(capsys):
+    assert run_cli(capsys, "compose", "--term", "1:1e-300", "--eps", "1") == (
+        0, "sigma_star,dp_delta,pdp_delta\n1e-300,1.0,1.0\n", "",
+    )
+    for pair, size in (("1e300:1e-10", "small"), ("1e-300:1e300", "large")):
+        assert run_cli(capsys, "compose", "--term", pair, "--eps", "1") == (
+            2, "", f"gaussdp: error: the composition's sigma_star is too {size}: "
+            "it leaves the normal double range\n",
+        )
 
 
 def test_experiment_mean_table(capsys):

@@ -2,6 +2,7 @@
 the composed DP/pDP levels."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -63,6 +64,52 @@ def test_zero_sensitivity_terms_contribute_nothing():
     base = [term(1.0, 2.0)]
     padded = [term(0.0, 7.0)] + base + [term(0.0, 0.1)]
     assert effective_unit_sigma(padded) == effective_unit_sigma(base)
+
+
+def test_squares_outside_the_double_range():
+    # 1e300 ** 2 overflows; 1e-200 ** 2 and 2 (1e-200) ** 2 underflow
+    assert effective_unit_sigma([term(1.0, 1e-300)]) == 1e-300
+    assert composed_dp_delta([term(1.0, 1e-300)], 1.0) == 1.0
+    assert composed_pdp_delta([term(1.0, 1e-300)], 1.0) == 1.0
+    assert effective_unit_sigma([term(1e-200, 1e-200)]) == 1.0
+    assert effective_unit_sigma([term(1.0, 2.0), term(1e-300, 1.0)]) == 2.0
+    # each square is normal, their sum overflows
+    got = effective_unit_sigma([term(2.0 ** 511, 1.0)] * 8)
+    assert got == 2.0 ** -511 / math.sqrt(8.0)
+
+
+@pytest.mark.parametrize(
+    "delta_i, sigma_i, size",
+    [(1e300, 1e-10, "small"), (1e-300, 1e300, "large"), (5e-324, 1.0, "large")],
+)
+def test_sigma_star_outside_the_normal_range_is_named(delta_i, sigma_i, size):
+    message = f"^the composition's sigma_star is too {size}: it leaves the normal double range$"
+    for account in (effective_unit_sigma, lambda terms: composed_dp_delta(terms, 1.0)):
+        with pytest.raises(ValueError, match=message):
+            account([term(delta_i, sigma_i)])
+
+
+def test_sigma_star_over_the_whole_range():
+    # inside the squares' range the bits are those of the plain sum;
+    # outside it within 3e-16 of a 40-digit sum, or a ValueError exactly
+    # where sigma_star is not a normal double
+    rng = random.Random(11)
+    for _ in range(2000):
+        pairs = [(10.0 ** rng.uniform(-300, 300), 10.0 ** rng.uniform(-300, 300))
+                 for _ in range(rng.randint(1, 4))]
+        ratios = [d / s for d, s in pairs]
+        with mp.workdps(40):
+            exact = 1 / mp.sqrt(mp.fsum((mpf(d) / mpf(s)) ** 2 for d, s in pairs))
+            normal = mpf(2) ** -1022 <= exact < mpf(2) ** 1024
+        terms = [term(d, s) for d, s in pairs]
+        if not normal:
+            with pytest.raises(ValueError):
+                effective_unit_sigma(terms)
+            continue
+        got = effective_unit_sigma(terms)
+        if all(2.0 ** -511 <= r <= 2.0 ** 511 for r in ratios):
+            assert got == 1.0 / math.sqrt(math.fsum(r ** 2 for r in ratios))
+        assert rel_err(got, exact) <= 3e-16, pairs
 
 
 def test_composed_dp_single_term_consistency():

@@ -131,6 +131,15 @@ def test_loss_at_zero_epsilon():
     assert privacy_loss_sample(1.0, 1.0, 0.0, 1000, seed=2) == 1.0
 
 
+def test_loss_tails_where_the_squares_leave_the_double_range():
+    # distance / sigma = 1e400: every loss is +inf, the limit (1, 0)
+    assert privacy_loss_tails(1e200, 1e-200, 1.0, 10, seed=1) == (1.0, 0.0)
+    # the squares underflow or overflow, the ratio is 1
+    unit = privacy_loss_tails(1.0, 1.0, 0.5, 1000, seed=3)
+    for scale in (1e-200, 1e200):
+        assert privacy_loss_tails(scale, scale, 0.5, 1000, seed=3) == unit
+
+
 def test_loss_at_pdp_boundary():
     eps, delta, n = 1.0, 0.01, 1_000_000
     sigma = solve_pdp_opt(PrivacyBudget(eps, delta), UNIT).noise.sigma

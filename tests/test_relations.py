@@ -69,6 +69,16 @@ def test_mcdp_vanishes_with_tau():
     assert mcdp_to_pdp_delta(McdpParams(mu=0.5, tau=1e-3), 2.0) < 1e-300
 
 
+def test_mcdp_squares_outside_the_double_range():
+    # tau^2 underflows to 0; tau^2 and (eps - mu)^2 overflow
+    assert mcdp_to_pdp_delta(McdpParams(0.0, 1e-200), 1.0) == 0.0
+    assert mcdp_to_pdp_delta(McdpParams(1e300, 1e300), 1e308) == 0.0
+    # the squares leave the range, their ratios are 1
+    for scale in (1e-160, 1e200):
+        got = mcdp_to_pdp_delta(McdpParams(0.0, scale), scale)
+        assert got == 2.0 * math.exp(-0.5)
+
+
 def test_mcdp_domain():
     with pytest.raises(ValueError):
         mcdp_to_pdp_delta(McdpParams(mu=2.0, tau=1.0), 2.0)
@@ -113,6 +123,14 @@ def test_zcdp_of_sigma():
     assert abs(got - 1.0) <= 1e-15
     with pytest.raises(ValueError):
         zcdp_of_sigma(NoiseScale(0.0, Mechanism.CDP_ROUTE), UNIT)
+
+
+def test_zcdp_squares_outside_the_double_range():
+    with pytest.raises(ValueError, match="^rho must be finite and positive, got inf$"):
+        zcdp_of_sigma(NoiseScale(1e-200, Mechanism.CDP_ROUTE), UNIT)
+    # the squares underflow or overflow, the ratio is 1
+    for scale in (1e-200, 1e200):
+        assert zcdp_of_sigma(NoiseScale(scale, Mechanism.CDP_ROUTE), Sensitivity(scale)).rho == 0.5
 
 
 def test_zcdp_round_trip():

@@ -1,0 +1,51 @@
+"""The names the benchmark's per-layer tracer keys on.
+
+``perfbench/tracer.py`` wraps every public function of a layer module that
+is defined in that module, and ``perfbench/layers.py`` reads each layer's
+figures from the spans of the functions named below.  A name that is gone,
+renamed or re-exported from elsewhere leaves its figure the median of an
+empty list, and the traced run crashes.
+"""
+
+import dataclasses
+import importlib
+import types
+
+import pytest
+
+from gaussdp.calib import PrivacyBudget, Sensitivity, solve_dp_opt, solve_pdp_opt
+
+TRACED = {
+    "calib": (
+        "solve_dp_opt", "solve_pdp_opt",
+        "sigma_dwork2006", "sigma_dwork2014", "sigma_mech1", "sigma_mech2",
+        "sigma_mech3", "sigma_mech4",
+        "dp_delta_profile", "pdp_delta_profile", "failure_threshold", "calibrate",
+    ),
+    "relations": ("sigma_via_cdp_route",),
+    "compose": ("effective_unit_sigma", "composed_dp_delta", "composed_pdp_delta"),
+    "rng": ("generator", "standard_normal"),
+    "mech": ("read_categorical_csv", "histogram_counts"),
+    "specfun": ("erfc", "erfcx", "inverfc"),
+    "cli": ("main",),
+}
+
+
+@pytest.mark.parametrize(
+    "layer, name", [(layer, name) for layer, names in TRACED.items() for name in names],
+    ids=lambda value: value,
+)
+def test_traced_name_is_a_function_of_its_module(layer, name):
+    module = importlib.import_module(f"gaussdp.{layer}")
+    function = getattr(module, name, None)
+    assert isinstance(function, types.FunctionType)
+    assert function.__module__ == module.__name__
+
+
+@pytest.mark.parametrize("solve", [solve_dp_opt, solve_pdp_opt], ids=lambda f: f.__name__)
+def test_solver_results_report_iterations_and_noise(solve):
+    # the tracer records an int .iterations; the benchmark reads .noise.sigma
+    result = solve(PrivacyBudget(1.0, 1e-5), Sensitivity(1.0))
+    assert type(result.iterations) is int
+    assert "noise" in {field.name for field in dataclasses.fields(result)}
+    assert result.noise.sigma > 0.0
