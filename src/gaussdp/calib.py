@@ -21,8 +21,13 @@ Conventions used throughout:
     are e^{-u^2} (erfcx(u) - erfcx(s)) for u >= 0 and 2 - e^{-u^2}
     (erfcx(-u) + erfcx(s)) for u < 0: exp(eps) cancels exactly, so no eps
     overflows, and where s - u is short the erfcx difference is integrated
-    instead of subtracted (``_erfcx_drop``).  The pDP residual erfc(u) +
+    instead of subtracted (``_dp_erfcx_drop``).  The pDP residual erfc(u) +
     erfc(s) is a sum, free of cancellation.
+  * Each residual has one formula (``_dp_value``, ``_pdp_value``).  A
+    Newton step calls it once, through ``_dp_value_slope`` or
+    ``_pdp_value_slope``, which form the slope from the same e^{-u^2} and
+    s and return both.  The profiles, and so the certificate, the failure
+    frontier and composition, call the formula alone and pay for no slope.
   * Solvers shrink a sign-change bracket of a strictly decreasing residual,
     by Newton steps on its logarithm or else by bisection, and stop about
     tol/2 above the root, so the reported sigma errs on the noisy (safe)
@@ -188,7 +193,7 @@ _SHORT_STEP = 1e-4
 _GAUSS_OFFSET = 0.5 / math.sqrt(3.0)
 
 
-def _erfcx_drop(a: float, eps: float) -> float:
+def _dp_erfcx_drop(a: float, b: float, eps: float) -> float:
     """erfcx(a) - erfcx(b) for a >= 0 and b = sqrt(a^2 + eps); positive.
 
     Subtracting the two erfcx values magnifies their rounding by
@@ -198,7 +203,6 @@ def _erfcx_drop(a: float, eps: float) -> float:
     Gauss-Legendre, whose relative error, of order (b - a)^4 / 4320, is far
     below an ulp.
     """
-    b = math.sqrt(a * a + eps)
     width = eps / (a + b)
     if width >= _SHORT_STEP:
         return erfcx(a) - erfcx(b)
@@ -207,54 +211,60 @@ def _erfcx_drop(a: float, eps: float) -> float:
     return width * (_TWO_OVER_SQRT_PI - left * erfcx(left) - right * erfcx(right))
 
 
-def _dp_equation(u: float, eps: float) -> float:
-    # r(u) = erfc(u) - exp(eps)*erfc(s), s = sqrt(u^2+eps); strictly
-    # decreasing in u.  Both terms share the factor e^{-u^2}, so r is formed
-    # from erfcx alone: e^{-u^2} (erfcx(u) - erfcx(s)) for u >= 0, where the
-    # drop is positive by construction, and 2 - e^{-u^2} (erfcx(-u) +
-    # erfcx(s)) for u < 0.
+def _dp_value(u: float, eps: float, s: float, decay: float) -> float:
+    # r(u) = erfc(u) - exp(eps)*erfc(s), s = sqrt(u^2+eps), given decay =
+    # e^{-u^2}; strictly decreasing in u.  Both terms share the factor
+    # e^{-u^2}, so r is formed from erfcx alone: e^{-u^2} (erfcx(u) -
+    # erfcx(s)) for u >= 0, where the drop is positive by construction, and
+    # 2 - e^{-u^2} (erfcx(-u) + erfcx(s)) for u < 0.
     if u >= 0.0:
-        return math.exp(-u * u) * _erfcx_drop(u, eps)
-    return 2.0 - math.exp(-u * u) * (erfcx(-u) + erfcx(math.sqrt(u * u + eps)))
+        return decay * _dp_erfcx_drop(u, s, eps)
+    return 2.0 - decay * (erfcx(-u) + erfcx(s))
 
 
-def _dp_slope(u: float, eps: float) -> float:
-    # r'(u) = -(2/sqrt(pi)) e^{-u^2} (1 - u/s), s = sqrt(u^2+eps), with
-    # 1 - u/s = eps / (s (s + u)) free of cancellation for u >= 0.
+def _dp_value_slope(u: float, eps: float) -> tuple[float, float]:
+    # (r(u), r'(u)) from one e^{-u^2} and one s: r'(u) = -(2/sqrt(pi))
+    # e^{-u^2} (1 - u/s), with 1 - u/s = eps / (s (s + u)) free of
+    # cancellation for u >= 0.
+    decay = math.exp(-u * u)
     s = math.sqrt(u * u + eps)
     ratio = eps / (s * (s + u)) if u >= 0.0 else 1.0 - u / s
-    return -_TWO_OVER_SQRT_PI * math.exp(-u * u) * ratio
+    return _dp_value(u, eps, s, decay), -_TWO_OVER_SQRT_PI * decay * ratio
 
 
-def _pdp_equation(u: float, eps: float) -> float:
-    # erfc(u) + erfc(sqrt(u^2+eps)); strictly decreasing in u.
-    return erfc(u) + erfc(math.sqrt(u * u + eps))
+def _pdp_value(u: float, s: float) -> float:
+    # erfc(u) + erfc(s), s = sqrt(u^2+eps); strictly decreasing in u.
+    return erfc(u) + erfc(s)
 
 
-def _pdp_slope(u: float, eps: float) -> float:
+def _pdp_value_slope(u: float, eps: float) -> tuple[float, float]:
     # d/du [erfc(u) + erfc(s)] = -(2/sqrt(pi)) e^{-u^2} (1 + e^{-eps} u/s)
     s = math.sqrt(u * u + eps)
-    return -_TWO_OVER_SQRT_PI * math.exp(-u * u) * (1.0 + math.exp(-eps) * u / s)
+    slope = -_TWO_OVER_SQRT_PI * math.exp(-u * u) * (1.0 + math.exp(-eps) * u / s)
+    return _pdp_value(u, s), slope
 
 
-def _solve_decreasing(fn, lo, hi, target, tol, slope=None, fn_lo=None, fn_hi=None):
+def _solve_decreasing(fn, lo, hi, target, tol, newton=False, fn_lo=None, fn_hi=None):
     """Solve fn(u) == target on a sign-change bracket fn(lo) > target >=
     fn(hi); fn need not be monotone elsewhere.
 
-    Without ``slope`` every step bisects.  With ``slope`` (fn's derivative;
-    fn must be positive) each step is a Newton step on ln fn = ln target
-    from the last evaluated point, or else from the other end where fn is
-    known (this catches roots where ln fn bends so that the near end
-    overshoots), taken if it lands inside the bracket and is under half the
-    previous step; otherwise the step bisects.  A Newton step shorter than
-    sqrt(tol)/10 that lands in the bracket, at c, is within a small
-    fraction of tol of the root: the solve returns min(c + 0.4 tol, hi)
-    unevaluated, which keeps about tol/2 of slack above the root, as
+    Without ``newton`` fn returns its value alone and every step bisects,
+    so a profile (``failure_threshold``'s) pays for no slope.  With
+    ``newton`` (fn must be positive) one call fn(u) returns the pair (fn(u),
+    fn'(u)), so each evaluation gives the value and the slope, and each end
+    of the bracket keeps its pair.  Each step is a Newton step on ln fn =
+    ln target from the last evaluated point, or else from the other end
+    where fn is known (this catches roots where ln fn bends so that the
+    near end overshoots), taken if it lands inside the bracket and is under
+    half the previous step; otherwise the step bisects.  A Newton step
+    shorter than sqrt(tol)/10 that lands in the bracket, at c, is within a
+    small fraction of tol of the root: the solve returns min(c + 0.4 tol,
+    hi) unevaluated, which keeps about tol/2 of slack above the root, as
     bisection does, and leaves the proof to the caller's profile
     certificate.  A subnormal target is the exception: fn is quantized
     there and equals target on a whole plateau, so a zero step (fn(base) ==
-    target) is skipped rather than returned.  ``fn_lo``/``fn_hi`` give fn
-    at the ends where known; a Newton solve evaluates fn(hi) otherwise,
+    target) is skipped rather than returned.  ``fn_lo``/``fn_hi`` give the
+    pair at the ends where known; a Newton solve evaluates fn(hi) otherwise,
     which confirms the bracket.  A known fn_lo <= target means the root
     sits at lo to within fn's rounding, and min(lo + 0.4 tol, hi) is
     returned unevaluated, with the same slack.
@@ -264,15 +274,15 @@ def _solve_decreasing(fn, lo, hi, target, tol, slope=None, fn_lo=None, fn_hi=Non
     narrower than tol (so fn(root) <= target), and evaluations counts every
     call of fn.
     """
-    if fn_lo is not None and fn_lo <= target:
+    if fn_lo is not None and fn_lo[0] <= target:
         return min(lo + 0.4 * tol, hi), 0
     evaluations = 0
-    if slope is not None:
+    if newton:
         if fn_hi is None:
             fn_hi = fn(hi)
             evaluations = 1
-        if not fn_hi <= target:
-            raise BracketError(f"no sign change: {fn_hi!r} > {target!r} at {hi!r}")
+        if not fn_hi[0] <= target:
+            raise BracketError(f"no sign change: {fn_hi[0]!r} > {target!r} at {hi!r}")
         close = 0.1 * math.sqrt(tol)
     x = hi  # the last evaluated point, Newton's first base
     last_step = hi - lo
@@ -283,14 +293,16 @@ def _solve_decreasing(fn, lo, hi, target, tol, slope=None, fn_lo=None, fn_hi=Non
                 f"after {evaluations} evaluations"
             )
         u = 0.5 * (lo + hi)
-        if slope is not None:
+        if newton:
             ends = ((hi, fn_hi), (lo, fn_lo))
-            for base, value in ends if x == hi else ends[::-1]:
+            for base, known in ends if x == hi else ends[::-1]:
                 # Newton on ln fn; skipped where fn is unknown, not
                 # positive, flat, or too far from target for a finite ratio
-                ratio = value / target if value is not None else 0.0
-                d = slope(base) if 0.0 < ratio < math.inf else 0.0
-                if d >= 0.0:
+                if known is None:
+                    continue
+                value, d = known
+                ratio = value / target
+                if not 0.0 < ratio < math.inf or d >= 0.0:
                     continue
                 c = base + math.log(ratio) * value / -d
                 if abs(c - base) < close:
@@ -312,7 +324,7 @@ def _solve_decreasing(fn, lo, hi, target, tol, slope=None, fn_lo=None, fn_hi=Non
             )
         value = fn(u)
         evaluations += 1
-        if value > target:
+        if (value[0] if newton else value) > target:
             lo, fn_lo = u, value
         else:
             hi, fn_hi = u, value
@@ -406,17 +418,21 @@ _PROFILE_SATURATES = 27.5
 
 
 def _dp_delta_unit(sigma_over_l2: float, eps: float) -> float:
+    if sigma_over_l2 == 0.0:  # sigma / Delta underflowed: the a -> -inf limit
+        return 1.0
     a = (eps * sigma_over_l2 - 0.5 / sigma_over_l2) / _SQRT2
     if not -_PROFILE_SATURATES <= a <= _PROFILE_SATURATES:
         return 0.0 if a > 0.0 else 1.0
-    return 0.5 * _dp_equation(a, eps)
+    return 0.5 * _dp_value(a, eps, math.sqrt(a * a + eps), math.exp(-a * a))
 
 
 def _pdp_delta_unit(sigma_over_l2: float, eps: float) -> float:
+    if sigma_over_l2 == 0.0:  # sigma / Delta underflowed: the lam -> -inf limit
+        return 1.0
     lam = (eps * sigma_over_l2 - 0.5 / sigma_over_l2) / _SQRT2
     if not -_PROFILE_SATURATES <= lam <= _PROFILE_SATURATES:
         return 0.0 if lam > 0.0 else 1.0
-    return 0.5 * _pdp_equation(lam, eps)
+    return 0.5 * _pdp_value(lam, math.sqrt(lam * lam + eps))
 
 
 def _check_profile_args(sigma: NoiseScale, epsilon: float, sens: Sensitivity) -> float:
@@ -587,20 +603,17 @@ def solve_dp_opt(
     tol = _check_range("tol", float(tol))
     eps, delta = budget.epsilon, budget.delta
     target = 2.0 * delta
-    at_zero = _dp_equation(0.0, eps)
+    at_zero = _dp_value_slope(0.0, eps)
 
-    def fn(u: float) -> float:
-        return _dp_equation(u, eps)
+    def fn(u: float) -> tuple[float, float]:
+        return _dp_value_slope(u, eps)
 
-    def slope(u: float) -> float:
-        return _dp_slope(u, eps)
-
-    if at_zero == target:
+    if at_zero[0] == target:
         root, lo, hi, iterations = 0.0, 0.0, 0.0, 0
-    elif at_zero > target:
+    elif at_zero[0] > target:
         lo, hi = 0.0, inverfc_seed(target)
         root, iterations = _solve_decreasing(
-            fn, lo, hi, target, tol, slope, fn_lo=at_zero
+            fn, lo, hi, target, tol, newton=True, fn_lo=at_zero
         )
     else:
         # Beyond eps = 700, e^eps overflows; the bound at eps = 700 (about
@@ -608,7 +621,7 @@ def solve_dp_opt(
         y = (2.0 - 2.0 * delta) / (math.exp(min(eps, 700.0)) + 1.0)
         lo, hi = -inverfc_seed(y), 0.0
         root, iterations = _solve_decreasing(
-            fn, lo, hi, target, tol, slope, fn_hi=at_zero
+            fn, lo, hi, target, tol, newton=True, fn_hi=at_zero
         )
     return _solver_result(
         Mechanism.DP_OPT, budget, sens, _dp_delta_unit, root, lo, hi, iterations
@@ -637,10 +650,10 @@ def solve_pdp_opt(
         # at large eps the root lies within ~1e-10 of this end, where
         # Newton must start: from hi alone every step would bisect
         lo = inverfc(target)
-        fn_lo = _pdp_equation(lo, eps)
+        fn_lo = _pdp_value_slope(lo, eps)
     root, iterations = _solve_decreasing(
-        lambda u: _pdp_equation(u, eps), lo, hi, target, tol,
-        lambda u: _pdp_slope(u, eps), fn_lo=fn_lo,
+        lambda u: _pdp_value_slope(u, eps), lo, hi, target, tol,
+        newton=True, fn_lo=fn_lo,
     )
     return _solver_result(
         Mechanism.PDP_OPT, budget, sens, _pdp_delta_unit, root, lo, hi, iterations
@@ -724,7 +737,9 @@ def calibrate(
     tol: float = DEFAULT_TOL,
 ) -> NoiseScale:
     """Calibrated noise scale for any mechanism tag (solvers included)."""
-    return _CALIBRATIONS[Mechanism(kind)](budget, sens, tol)
+    if not isinstance(kind, Mechanism):
+        kind = Mechanism(kind)  # a string tag, or a ValueError
+    return _CALIBRATIONS[kind](budget, sens, tol)
 
 
 def compare_grid(

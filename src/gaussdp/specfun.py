@@ -24,6 +24,9 @@ Implementation notes:
     needed, and the erfcx form holds down to subnormal p.
   * inverf: inverfc(1 - p) for p >= 0.25; for smaller p, Newton on erf
     from p sqrt(pi)/2, free of the cancellation in 1 - p.
+  * erf, erfc and erfcx reject NaN and +-inf with a ValueError, by a check
+    written inline: the solvers call erfc and erfcx a dozen times a solve,
+    and a helper call for the check was 8% of a dp-opt solve.
 
 Accuracy is validated in the test suite against a 50-digit mpmath oracle:
 erfc within 1e-15 relative on [-6, 26.5], erfcx within 1e-15 on [-26.5,
@@ -48,20 +51,15 @@ _NEG_OVERFLOW_X2 = 708.69
 _SPLIT = 134217729.0
 
 
-def _check_finite(x: float, name: str = "x") -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"{name} must be finite, got {x!r}")
-    return x
-
-
 def erfcx(x: float) -> float:
     """Scaled complementary error function exp(x**2) * erfc(x).
 
     Raises OverflowError for x below about -26.6, where the result exceeds
     the double range; finite everywhere else.
     """
-    x = _check_finite(x)
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x!r}")
     if x > _ERFCX_ASYMPTOTIC:
         # the asymptotic series in Horner form; 0.5/(x*x) is 0, not an
         # error, where x*x overflows
@@ -81,12 +79,18 @@ def erfcx(x: float) -> float:
 
 def erfc(x: float) -> float:
     """Complementary error function (the platform libm's)."""
-    return math.erfc(_check_finite(x))
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x!r}")
+    return math.erfc(x)
 
 
 def erf(x: float) -> float:
     """Error function (the platform libm's)."""
-    return math.erf(_check_finite(x))
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x!r}")
+    return math.erf(x)
 
 
 def inverfc_seed(y: float) -> float:

@@ -188,6 +188,15 @@ def test_profiles_total_at_extreme_sigma(sigma, expected):
         assert pdp_delta_profile(noise, eps, UNIT) == expected
 
 
+@pytest.mark.parametrize("eps", [1e-8, 1.0, 1e8])
+def test_profiles_saturate_where_sigma_over_sensitivity_underflows(eps):
+    # sigma / Delta = 1e-300 / 1e300 underflows to 0, the a -> -inf limit
+    noise, sens = NoiseScale(1e-300, Mechanism.DP_OPT), Sensitivity(1e300)
+    assert dp_delta_profile(noise, eps, sens) == 1.0
+    assert pdp_delta_profile(noise, eps, sens) == 1.0
+    assert achieves_dp(noise, PrivacyBudget(eps, 0.5), sens) is False
+
+
 def test_profile_domain_errors():
     with pytest.raises(ValueError):
         dp_delta_profile(NoiseScale(0.0, Mechanism.DP_OPT), 1, UNIT)
@@ -417,6 +426,102 @@ def test_dp_opt_matches_oracle_root(eps, delta):
     assert rel_err(sigma, true) <= 1e-10
 
 
+# Solver results at Delta = 1, every field asserted with ==, so a change of
+# rounding anywhere in a solve shows: (eps, delta, sigma, root, iterations,
+# residual, bracket_low, bracket_high).  The points cover dp-opt's negative
+# branch (u < 0, eps >= 10 at delta near 0.5), its exact root at 0 (delta =
+# r(0) / 2), the integrated short erfcx steps (eps <= 1e-7), subnormal
+# delta, and pdp-opt at delta >= 0.5, where its bracket starts at
+# inverfc(2 delta) and small eps shows how its slope rounds.
+PINNED_DP_OPT = [
+    (1.0, 1e-05, 3.7306316348164876, 2.5431845436241196, 4, -4.8480777769047134e-17, 0.0, 3.182243092765),
+    (0.1, 1e-06, 36.304690426195826, 2.5573907744377293, 5, -2.202285662861181e-20, 0.0, 3.525509920113739),
+    (0.5, 1e-12, 12.844174489887305, 4.513575078738935, 4, -7.754010449117688e-24, 0.0, 5.122960741096174),
+    (5.0, 0.001, 0.6898423270004509, 1.926447603367961, 4, -3.821595817576906e-15, 0.0, 2.3506248379911825),
+    (50.0, 1e-10, 0.18029422294242234, 4.413383242309663, 4, -7.348724260709382e-22, 0.0, 4.651833678155374),
+    (10000.0, 1e-08, 0.007356858458544494, 3.96318665688337, 4, -2.2452990547139383e-20, 0.0, 4.127273485345073),
+    (100000000.0, 1e-300, 7.089615586856893e-05, 26.19620295111687, 3, -3.66516086443157e-310, 0.0, 26.256222758368992),
+    (10.0, 0.45, 0.21926429864897826, -0.0620203414060261, 3, -4.586331314726522e-13, -3.03507625915508, 0.0),  # u<0
+    (1000.0, 0.5, 0.02234950966953102, -0.015800862229933134, 2, -4.447553436648377e-13, -26.44441061584546, 0.0),  # u<0
+    (1000000.0, 0.7, 0.0007068442761866254, -0.3713070655466415, 4, -3.3795188869589765e-13, -26.454067332703413, 0.0),  # u<0
+    (100000000.0, 0.49999, 7.071067789043279e-05, -3.227546079999163e-05, 1, -1.4531709169318674e-12, -26.444410237697493, 0.0),  # u<0
+    (1e-08, 1e-05, 39874.29431765705, 0.00027308713944243165, 5, -2.7504745443024392e-14, 0.0, 3.182243092765),
+    (1e-07, 0.3, 1.2976210253104379, -0.27246265637890227, 5, -8.378853166846056e-13, -0.4926247001938086, 0.0),  # u<0
+    (1e-08, 1e-300, 3634980269.013034, 25.703191976886906, 4, -2.47345134384e-313, 0.0, 26.256222758368992),
+    (1.0, 5e-324, 38.28474137226368, 27.062165402140216, 44, 0.0, 0.0, 27.259012776699404),
+    (0.01, 5e-324, 3815.1567803910743, 26.977139636306653, 46, 0.0, 0.0, 27.259012776699404),
+    (1000.0, 5e-324, 0.048700905878260134, 27.177052619862792, 45, 0.0, 0.0, 27.259012776699404),
+    (1.0, 0.5, 0.5070650314765235, -0.33870540851281583, 4, -5.31574784190525e-13, -0.973504015620623, 0.0),  # u<0
+    (20.0, 0.7, 0.1422239634182635, -0.4745412637647854, 4, -3.9834802123550617e-13, -4.451705116889547, 0.0),  # u<0
+    (0.001, 0.9, 0.30393363089475217, -1.1630436227234875, 6, -2.333688797762079e-13, -1.329503315067659, 0.0),  # u<0
+    (1.0, 0.999999999, 0.08079850181862752, -4.318608740467856, 12, 0.0, -4.544252765054167, 0.0),  # u<0
+    (2.0, 0.3318979987768294, 0.5, 0.0, 0, 0.0, 0.0, 0.0),  # root 0
+    (0.001, 0.017352889997971854, 22.36067977499789, 0.0, 0, -1.1102230246251565e-16, 0.0, 0.0),  # root 0
+    (0.3, 0.01, 4.557544373881826, 0.889225745926003, 5, -1.1379786002407855e-15, 0.0, 1.8046243539321962),
+    (1e-08, 0.999, 0.15195135629840031, -2.3267537654333554, 9, -3.9968028886505635e-15, -2.493311478724573, 0.0),  # u<0
+    (1e-08, 0.999999999, 0.08184096060062653, -4.320005385459827, 11, 0.0, -4.475502060290934, 0.0),  # u<0
+    (0.0001, 0.9, 0.303973936395842, -1.163082799491495, 6, -2.362554596402333e-13, -1.329355573738811, 0.0),  # u<0
+]
+PINNED_PDP_OPT = [
+    (1.0, 1e-05, 4.444123306206057, 3.0629144650107953, 4, -5.136407792150077e-17, 0.0, 3.289346178773269),
+    (0.1, 1e-06, 48.918938873948676, 3.451864009066269, 4, -5.728060305807206e-18, 0.0, 3.6224805558344038),
+    (0.5, 1e-12, 14.269681174397569, 5.020317617395022, 4, -9.30174292338683e-25, 0.0, 5.190170896547685),
+    (5.0, 0.001, 0.7514185036173816, 2.1861509785447018, 4, -3.809019072376074e-15, 0.0, 2.4933114777238843),
+    (50.0, 1e-10, 0.18213203965932062, 4.498147289529659, 4, -7.374573654851665e-22, 0.0, 4.725749014662174),
+    (10000.0, 1e-08, 0.007357233187849205, 3.968284135783735, 4, -6.27565387131731e-20, 0.0, 4.210407769253759),
+    (100000000.0, 1e-300, 7.089615622351236e-05, 26.196253016549754, 3, -7.696047703436e-311, 0.0, 26.26941911648702),
+    (10.0, 0.45, 0.22997861953360665, 0.0888628511357382, 6, -4.4775294583132563e-13, 0.0, 0.7469613426866548),
+    (1000.0, 0.5, 0.022360679774998178, 4e-13, 0, -4.4786396813378815e-13, 0.0, 0.6936943311427617),
+    (1000000.0, 0.7, 0.0007068446295430581, -0.3708071585931578, 0, -3.552713678800501e-13, -0.37080715859355784, 0.4926246649425931),  # u<0
+    (100000000.0, 0.49999, 7.071067824398617e-05, 1.7724538910926672e-05, 17, -4.733990977001667e-13, 0.0, 0.6937047623868318),
+    (1e-08, 1e-05, 441717341.34695876, 3.1234132735408684, 4, -5.232291921779264e-17, 0.0, 3.289346178773269),
+    (1e-07, 0.3, 10364333.894943563, 0.7328690438471128, 4, -5.274669589994119e-13, 0.0, 0.9289014583268665),
+    (1e-08, 1e-300, 3706578788.07727, 26.209469960421142, 3, -4.2303643902104e-311, 0.0, 26.26941911648702),
+    (1.0, 5e-324, 38.48835667216557, 27.206192016601666, 46, 0.0, 0.0, 27.27172390482166),
+    (0.01, 5e-324, 3847.549568324708, 27.20619201660215, 46, 0.0, 0.0, 27.27172390482166),
+    (1000.0, 5e-324, 0.048723660805337944, 27.196533203125412, 46, 0.0, 0.0, 27.27172390482166),
+    (1.0, 0.5, 0.8104691189406471, 0.13685519090632065, 4, -4.649614027130156e-13, 0.0, 0.6936943311427617),
+    (20.0, 0.7, 0.14554644761928584, -0.3708071583688244, 1, -3.9390712913700554e-13, -0.37080715859355784, 0.4926246649425931),  # u<0
+    (0.001, 0.9, 125.66234158084093, 0.0860431748320338, 4, -8.699707620962727e-13, -0.9061938024368232, 0.2658124961772696),
+    (1.0, 0.999999999, 0.08321488446436882, -4.189837893683522, 6, 0.0, -4.241090015808593, 2.5819887892952044e-05),  # u<0
+    (2.0, 0.3318979987768294, 0.63721035932539, 0.3463058907379982, 5, -4.1322500976548326e-13, 0.0, 0.8862409747623137),
+    (0.001, 0.017352889997971854, 2379.14417168618, 1.6821603719377325, 4, -5.322131624296844e-14, 0.0, 1.8422475063078056),
+    (0.3, 0.01, 8.600565307698623, 1.78334725814326, 4, -3.202646481348381e-14, 0.0, 1.9827880239958324),
+    (1e-08, 0.999, 125331.44659305824, 0.0008834062106406159, 4, -7.787104294720848e-13, -2.1851242191330043, 0.02582706527304922),
+    (1e-08, 0.999999999, 0.3492464570516188, -1.0123320726444434, 9, -4.440892098500626e-16, -4.241090015808593, 2.5819887892952044e-05),  # u<0
+    (0.0001, 0.9, 1256.6135680300738, 0.08857464341966569, 4, -8.928413564035509e-13, -0.9061938024368232, 0.2658124961772696),
+]
+
+
+@pytest.mark.parametrize(
+    "solve, row",
+    [(solve_dp_opt, row) for row in PINNED_DP_OPT]
+    + [(solve_pdp_opt, row) for row in PINNED_PDP_OPT],
+    ids=lambda value: value.__name__ if callable(value) else f"{value[0]!r}-{value[1]!r}",
+)
+def test_solver_results_pinned(solve, row):
+    eps, delta, *want = row
+    result = solve(budget(eps, delta), UNIT)
+    got = [
+        result.noise.sigma, result.root, result.iterations, result.residual,
+        result.bracket_low, result.bracket_high,
+    ]
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "f, delta, tol, want",
+    [
+        (4.844805262605389, 1e-05, 1e-06, 8.41977174791057),
+        (6.88752468024622, 1e-10, 1e-12, 10.756740866745027),
+        (1.6894474573896319, 0.3, 1e-06, 4.969847210581823),
+        (37.18786563057293, 1e-300, 1e-12, 19.091684595913758),
+    ],
+)
+def test_failure_threshold_pinned(f, delta, tol, want):
+    assert failure_threshold(f, delta, tol) == want
+
+
 # --- closed-form mechanisms -------------------------------------------------
 
 
@@ -622,6 +727,7 @@ def test_calibrate_dispatches_enum_and_tag(kind):
     assert want.kind is kind
     assert calibrate(kind, budget, sens) == want
     assert calibrate(str(kind), budget, sens) == want
+    assert calibrate(str(kind), budget, sens).kind is kind
 
 
 def test_calibrate_forwards_tol_to_solvers():
@@ -633,8 +739,10 @@ def test_calibrate_forwards_tol_to_solvers():
 
 
 def test_calibrate_rejects_unknown_tag():
-    with pytest.raises(ValueError):
-        calibrate("bogus", PrivacyBudget(1.0, 1e-5), UNIT)
+    # "DP_OPT", a member's name, hashes like the member but is no tag
+    for kind in ("bogus", 3, "DP_OPT"):
+        with pytest.raises(ValueError):
+            calibrate(kind, PrivacyBudget(1.0, 1e-5), UNIT)
 
 
 @pytest.mark.parametrize("kind", MECHANISM_ORDER)

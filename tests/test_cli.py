@@ -412,6 +412,15 @@ def test_profile_single_row(capsys):
     assert len(parse_csv(out)) == 1
 
 
+def test_profile_where_sigma_over_sensitivity_underflows(capsys):
+    # 1e-300 / 1e300 underflows to 0: the profiles' a -> -inf limit, 1.0
+    code, out, err = run_cli(
+        capsys, "profile", "--sigma-grid", "1e-300", "--eps", "1", "--sens", "1e300"
+    )
+    assert (code, err) == (0, "")
+    assert parse_csv(out) == [{"sigma": "1e-300", "dp_delta": "1.0", "pdp_delta": "1.0"}]
+
+
 def test_region_table(capsys):
     code, out, _ = run_cli(capsys, "region", "--delta-grid", "1e-3,1e-4")
     assert code == 0

@@ -13,6 +13,7 @@ import types
 
 import pytest
 
+from gaussdp import calib, specfun
 from gaussdp.calib import PrivacyBudget, Sensitivity, solve_dp_opt, solve_pdp_opt
 
 TRACED = {
@@ -49,3 +50,22 @@ def test_solver_results_report_iterations_and_noise(solve):
     assert type(result.iterations) is int
     assert "noise" in {field.name for field in dataclasses.fields(result)}
     assert result.noise.sigma > 0.0
+
+
+def test_solvers_call_specfun_through_calib_bindings(monkeypatch):
+    # the tracer sees erfc and erfcx only where calib calls them through
+    # these bindings; a private copy in calib would leave the specfun
+    # figures empty
+    assert calib.erfc is specfun.erfc
+    assert calib.erfcx is specfun.erfcx
+    counts = dict.fromkeys(("erfc", "erfcx"), 0)
+    for name in counts:
+        def counted(x, name=name, function=getattr(calib, name)):
+            counts[name] += 1
+            return function(x)
+
+        monkeypatch.setattr(calib, name, counted)
+    solve_dp_opt(PrivacyBudget(1.0, 1e-5), Sensitivity(1.0))
+    assert counts["erfcx"] > 0  # dp-opt's residual is built from erfcx
+    solve_pdp_opt(PrivacyBudget(1.0, 1e-5), Sensitivity(1.0))
+    assert counts["erfc"] > 0  # pdp-opt's is erfc(u) + erfc(s)
