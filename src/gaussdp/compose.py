@@ -46,8 +46,10 @@ def effective_unit_sigma(terms: Iterable[CompositionTerm]) -> float:
     # from 2^-511 to 2^511 a ratio squares to a normal double
     if all(2.0 ** -511 <= ratio <= 2.0 ** 511 for ratio in ratios):
         try:
-            # fsum makes the sum exact, hence invariant under term reordering
-            return 1.0 / math.sqrt(math.fsum(ratio ** 2 for ratio in ratios))
+            # ratio * ratio is the correctly rounded square (libm's pow may
+            # miss it by an ulp), and fsum makes the sum exact, hence
+            # invariant under term reordering
+            return 1.0 / math.sqrt(math.fsum(ratio * ratio for ratio in ratios))
         except OverflowError:  # the sum of the squares
             pass
     # Else each ratio, q 2^k with q in (1/2, 2), enters the norm scaled by

@@ -332,21 +332,41 @@ def histogram_counts(rows: Sequence[Sequence[str]]) -> np.ndarray:
 def read_categorical_csv(path: str | Path) -> tuple[list[str], list[tuple[str, ...]]]:
     """Read a UTF-8, comma-delimited, header-row CSV of categorical strings.
 
-    Returns (header, rows); raises ValueError on empty or ragged input.
+    Returns (header, rows); raises ValueError on empty or ragged input,
+    naming the first ragged record by its number (the header is 1).
+
+    The result is that of ``csv.reader`` over the file, parsed faster where
+    records repeat.  Without a ``"`` no field can span lines, so each line
+    (ended by ``\\n``, ``\\r\\n`` or a lone ``\\r``) is one record: each
+    distinct line is parsed once, and equal records share one tuple.  Every
+    line is parsed instead where any line holds a ``"``, or where more than
+    half the lines are distinct, since there dedup only adds hashing.  The
+    whole file is parsed before any record is checked, so a field over
+    ``csv.field_size_limit()`` raises ``csv.Error`` even after a ragged record.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty CSV (missing header row)") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            rows.append(tuple(row))
+        lines = fh.readlines()
+    # if the first half + 1 lines are all distinct, more than half are, so a
+    # file of distinct records hashes only those
+    half = len(lines) // 2
+    distinct = dict.fromkeys(lines[: half + 1])
+    if len(distinct) <= half:
+        distinct |= dict.fromkeys(lines[half + 1 :])
+    if len(distinct) > half or any('"' in line for line in distinct):
+        records = list(map(tuple, csv.reader(lines)))
+        checked = records
+    else:
+        parsed = dict(zip(distinct, map(tuple, csv.reader(distinct)), strict=True))
+        records = list(map(parsed.__getitem__, lines))
+        checked = parsed.values()
+    if not records:
+        raise ValueError(f"{path}: empty CSV (missing header row)")
+    header, rows = list(records[0]), records[1:]
+    if set(map(len, checked)) != {len(header)}:
+        lineno, row = next(
+            (i, row) for i, row in enumerate(rows, start=2) if len(row) != len(header)
+        )
+        raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
     if not rows:
         raise ValueError(f"{path}: no records after the header row")
     return header, rows

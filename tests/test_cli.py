@@ -325,10 +325,27 @@ def _experiment_hist_case(tmp_path):
     return argv, _report_records(reports)
 
 
+def _experiment_hist_quoted_case(tmp_path):
+    # csv.writer ends lines with CRLF and quotes the fields that hold a
+    # comma, a quote or a line break, so the reader parses every line
+    header = ["kind", "note"]
+    values = [("a, b", 'say "hi"'), ("two\nlines", "plain"), ("plain", "plain")]
+    rows = [values[i % 3] for i in range(60)]
+    path = tmp_path / "quoted.csv"
+    write_categorical_csv(path, header, rows)
+    assert b'\r\n"a, b","say ""hi"""\r\n' in path.read_bytes()
+    argv = ("experiment", "hist", "--csv", str(path), "--eps", "0.5", "--delta", "1e-6",
+            "--trials", "30", "--seed", "7")
+    reports = histogram_experiment(rows, PrivacyBudget(0.5, 1e-6), MECHANISM_ORDER, 30, 7)
+    return argv, _report_records(reports)
+
+
 @pytest.mark.parametrize(
     "case",
-    [_profile_case, _region_case, _compose_case, _experiment_mean_case, _experiment_hist_case],
-    ids=["profile", "region", "compose", "experiment-mean", "experiment-hist"],
+    [_profile_case, _region_case, _compose_case, _experiment_mean_case, _experiment_hist_case,
+     _experiment_hist_quoted_case],
+    ids=["profile", "region", "compose", "experiment-mean", "experiment-hist",
+         "experiment-hist-quoted"],
 )
 def test_command_bytes_equal_csv_writer_rendering(capsys, tmp_path, case):
     argv, records = case(tmp_path)
@@ -562,6 +579,19 @@ def test_experiment_hist_reads_csv_once(capsys, tmp_path, monkeypatch):
     assert calls == [str(path)]
 
 
+def test_readme_census_walkthrough(capsys, tmp_path):
+    # README's two steps: the script writes the synthetic census, and
+    # `experiment hist` reports on it as the library does on the same rows
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_synthetic_census.py"
+    path = tmp_path / "synth.csv"
+    _run_python(str(script), "--rows", "500", "--seed", "0", "--out", str(path))
+    argv = ("experiment", "hist", "--csv", str(path), "--eps", "0.1", "--delta", "1e-6",
+            "--trials", "200", "--seed", "6")
+    _, rows = synthetic_census_rows(500, 0)
+    reports = histogram_experiment(rows, PrivacyBudget(0.1, 1e-6), MECHANISM_ORDER, 200, 6)
+    _assert_renders_as_csv_writer(capsys, tmp_path, argv, _report_records(reports))
+
+
 def test_experiment_hist_missing_csv_exits_2(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "experiment", "hist", "--csv", str(tmp_path / "nope.csv"),
@@ -601,13 +631,18 @@ loaded()
 """
 
 
-def _run_modules_script(mode):
+def _run_python(*args):
+    # a fresh interpreter that imports gaussdp from this source tree
     src = str(Path(gaussdp.cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    done = subprocess.run(
-        [sys.executable, "-c", _MODULES_SCRIPT, mode],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True, check=True, env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def _run_modules_script(mode):
+    done = _run_python("-c", _MODULES_SCRIPT, mode)
     return done.stdout, [json.loads(line) for line in done.stderr.splitlines()]
 
 

@@ -3,6 +3,7 @@ the composed DP/pDP levels."""
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -108,8 +109,17 @@ def test_sigma_star_over_the_whole_range():
             continue
         got = effective_unit_sigma(terms)
         if all(2.0 ** -511 <= r <= 2.0 ** 511 for r in ratios):
-            assert got == 1.0 / math.sqrt(math.fsum(r ** 2 for r in ratios))
+            assert got == 1.0 / math.sqrt(math.fsum(r * r for r in ratios))
         assert rel_err(got, exact) <= 3e-16, pairs
+
+
+def test_sigma_star_sums_correctly_rounded_squares():
+    # glibc's pow(r, 2) rounds this r's square an ulp high (0.5458960082663522
+    # against the correctly rounded 0.5458960082663521), which moves
+    # sigma_star of two such terms by an ulp; twice a square adds exactly
+    r = 0.7388477571640535
+    expected = 1 / math.sqrt(float(2 * Fraction(r) ** 2))
+    assert effective_unit_sigma([term(r, 1.0)] * 2) == expected == 0.9570398966908441
 
 
 def test_composed_dp_single_term_consistency():

@@ -1,5 +1,6 @@
 """Seeded sampling, the experiments, and the Monte-Carlo privacy-loss oracle."""
 
+import csv
 import math
 import runpy
 import sys
@@ -443,6 +444,65 @@ def test_csv_rejects_empty(tmp_path):
     path.write_text("a,b\n", encoding="utf-8")
     with pytest.raises(ValueError):
         read_categorical_csv(path)
+
+
+def _record_loop_read(path):
+    # the reference: csv.reader over the file, one record at a time
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty CSV (missing header row)") from None
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+                )
+            rows.append(tuple(row))
+    if not rows:
+        raise ValueError(f"{path}: no records after the header row")
+    return header, rows
+
+
+def _read_outcome(read, path):
+    try:
+        return read(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+# Texts without a quote repeat their records, so that at most half their
+# lines are distinct and each distinct line is parsed once; a quote anywhere
+# has every line parsed.
+_CSV_TEXTS = {
+    "crlf": "a,b\r\n" + "x,1\r\ny,2\r\n" * 3,
+    "lf": "a,b\n" + "x,1\ny,2\n" * 3,
+    "lone-cr": "a,b\r" + "x,1\ry,2\r" * 3,
+    "mixed-endings": "a,b\r\n" + "x,1\ry,2\nx,1\r\n" * 3,
+    "no-final-newline": "a,b\n" + "x,1\ny,2\n" * 3 + "x,1",
+    "empty-fields": "a,b,c\n" + ",,\nx,,\n" * 3,
+    "blank-line": "a,b\n" + "x,1\n" * 3 + "\n" + "x,1\n" * 3,
+    "quoted-comma": 'a,b\n' + '"x,y",1\nz,2\n' * 3,
+    "quoted-line-break": 'a,b\n' + '"x\ny",1\nz,2\n' * 3,
+    "quoted-line-break-then-ragged": 'a,b\n"x\ny",1\nz\n',
+    "quote-in-header": '"a",b\n' + "x,1\ny,2\n" * 3,
+    "vt-ff-in-fields": "a,b\n" + "x\v,1\fy\ny,2\n" * 3,
+    "ragged": "a,b\nx,1\ny\n",
+    "ragged-repeated": "a,b\n" + "x,1\n" * 3 + "y\n" + "x,1\n" * 3 + "y\n",
+    "all-distinct": "a,b\n" + "".join(f"x{i},{i}\n" for i in range(20)),
+    "half-distinct": "a,b\n" + "x,1\n" * 2 + "y,2\n" * 2 + "z,3\n" * 3,
+    "empty": "",
+    "header-only": "a,b\n",
+}
+
+
+@pytest.mark.parametrize("text", _CSV_TEXTS.values(), ids=_CSV_TEXTS.keys())
+def test_csv_reader_matches_record_loop(tmp_path, text):
+    path = tmp_path / "records.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _read_outcome(read_categorical_csv, path) == _read_outcome(_record_loop_read, path)
 
 
 def test_synthetic_rows_deterministic():
