@@ -96,7 +96,8 @@ class BracketError(RuntimeError):
 
 def _check_range(name: str, value: float, upper: float = math.inf, zero: bool = False) -> float:
     """Return value if it is finite and in (0, upper), or in [0, inf) with
-    ``zero``, else raise a ValueError that names the bound."""
+    ``zero``, else raise a ValueError that names the bound.  Every range and
+    count (through ``_check_count``) of the library is checked here."""
     if not (math.isfinite(value) and (0.0 < value or zero and value == 0.0) and value < upper):
         if upper < math.inf:
             bound = f"in (0, {upper:g})"
@@ -104,6 +105,12 @@ def _check_range(name: str, value: float, upper: float = math.inf, zero: bool = 
             bound = "finite and >= 0" if zero else "finite and positive"
         raise ValueError(f"{name} must be {bound}, got {value!r}")
     return value
+
+
+def _check_count(name: str, value: float, zero: bool = False) -> int:
+    """int(value), a count >= 1 (>= 0 with ``zero``), checked before int(),
+    which fails on inf and nan, and after it, which truncates 0.5 to 0."""
+    return _check_range(name, int(_check_range(name, value, zero=zero)), zero=zero)
 
 
 @dataclass(frozen=True)
@@ -437,10 +444,9 @@ def _pdp_delta_unit(sigma_over_l2: float, eps: float) -> float:
 
 def _check_profile_args(sigma: NoiseScale, epsilon: float, sens: Sensitivity) -> float:
     epsilon = _check_range("epsilon", float(epsilon))
-    if sigma.sigma <= 0.0:
-        raise ValueError("delta profile requires sigma > 0")
-    if sens.l2 <= 0.0:
-        raise ValueError("delta profile requires positive sensitivity")
+    if sigma.sigma <= 0.0 or sens.l2 <= 0.0:
+        _check_range("sigma", sigma.sigma)
+        _check_range("l2 sensitivity", sens.l2)
     return epsilon
 
 

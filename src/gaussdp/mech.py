@@ -30,7 +30,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .calib import (
-    Mechanism, NoiseScale, PrivacyBudget, Sensitivity, _check_range, _half_square_ratio, calibrate,
+    Mechanism, NoiseScale, PrivacyBudget, Sensitivity,
+    _check_count, _check_range, _half_square_ratio, calibrate,
 )
 from .rng import generator, standard_normal
 
@@ -94,9 +95,7 @@ def sample_noise(dim: int, sigma: float, seed: int) -> NoisySample:
     """
     import numpy as np
 
-    dim = int(dim)
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    dim = _check_count("dim", dim)
     sigma = _check_range("sigma", float(sigma), zero=True)
     if sigma == 0.0:
         values = np.zeros(dim)
@@ -132,9 +131,7 @@ def privacy_loss_tails(
     distance = _check_range("distance", float(distance), zero=True)
     sigma = _check_range("sigma", float(sigma))
     epsilon = _check_range("epsilon", float(epsilon), zero=True)
-    n_samples = int(n_samples)
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    n_samples = _check_count("n_samples", n_samples)
     if distance == 0.0:
         return 0.0, 0.0
     mean = _half_square_ratio(distance, sigma)
@@ -235,9 +232,9 @@ def mean_experiment(
     """
     import numpy as np
 
-    n, d, trials = int(n), int(d), int(trials)
-    if n < 1 or d < 1 or trials < 1:
-        raise ValueError("n, d, and trials must all be >= 1")
+    n = _check_count("n", n)
+    d = _check_count("d", d)
+    trials = _check_count("trials", trials)
     delta_q = math.sqrt(d) / n if sensitivity is None else float(sensitivity)
     kinds, sigmas = _calibrate_all(kinds, budget, Sensitivity(delta_q))
 
@@ -245,7 +242,6 @@ def mean_experiment(
     data_gen = generator(seed, _DATASET_STREAM)
     center = standard_normal(d, data_gen)
     points = center + (data_gen.random((n, d)) - 0.5)
-    answer = QueryAnswer(points.mean(axis=0))
 
     def l2_error(noisy: np.ndarray, truth: np.ndarray) -> np.ndarray:
         # sqrt(row . row) per row as a stack of (1, d) @ (d, 1) products:
@@ -255,7 +251,7 @@ def mean_experiment(
         diff = noisy - truth
         return np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
 
-    return _shared_trials(kinds, sigmas, answer.values, trials, seed, l2_error)
+    return _shared_trials(kinds, sigmas, points.mean(axis=0), trials, seed, l2_error)
 
 
 def histogram_experiment(
@@ -275,9 +271,7 @@ def histogram_experiment(
     """
     import numpy as np
 
-    trials = int(trials)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = _check_count("trials", trials)
     kinds, sigmas = _calibrate_all(kinds, budget, Sensitivity(1.0))
     counts = histogram_counts(rows)
     return _shared_trials(
@@ -332,8 +326,8 @@ def histogram_counts(rows: Sequence[Sequence[str]]) -> np.ndarray:
 def read_categorical_csv(path: str | Path) -> tuple[list[str], list[tuple[str, ...]]]:
     """Read a UTF-8, comma-delimited, header-row CSV of categorical strings.
 
-    Returns (header, rows); raises ValueError on empty or ragged input,
-    naming the first ragged record by its number (the header is 1).
+    Returns (header, rows); raises ValueError on empty, ragged or unparsable
+    input, naming the first ragged record by its number (the header is 1).
 
     The result is that of ``csv.reader`` over the file, parsed faster where
     records repeat.  Without a ``"`` no field can span lines, so each line
@@ -342,7 +336,7 @@ def read_categorical_csv(path: str | Path) -> tuple[list[str], list[tuple[str, .
     line is parsed instead where any line holds a ``"``, or where more than
     half the lines are distinct, since there dedup only adds hashing.  The
     whole file is parsed before any record is checked, so a field over
-    ``csv.field_size_limit()`` raises ``csv.Error`` even after a ragged record.
+    ``csv.field_size_limit()`` is the error raised even after a ragged record.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         lines = fh.readlines()
@@ -352,13 +346,16 @@ def read_categorical_csv(path: str | Path) -> tuple[list[str], list[tuple[str, .
     distinct = dict.fromkeys(lines[: half + 1])
     if len(distinct) <= half:
         distinct |= dict.fromkeys(lines[half + 1 :])
-    if len(distinct) > half or any('"' in line for line in distinct):
-        records = list(map(tuple, csv.reader(lines)))
-        checked = records
-    else:
-        parsed = dict(zip(distinct, map(tuple, csv.reader(distinct)), strict=True))
-        records = list(map(parsed.__getitem__, lines))
-        checked = parsed.values()
+    try:
+        if len(distinct) > half or any('"' in line for line in distinct):
+            records = list(map(tuple, csv.reader(lines)))
+            checked = records
+        else:
+            parsed = dict(zip(distinct, map(tuple, csv.reader(distinct)), strict=True))
+            records = list(map(parsed.__getitem__, lines))
+            checked = parsed.values()
+    except csv.Error as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     if not records:
         raise ValueError(f"{path}: empty CSV (missing header row)")
     header, rows = list(records[0]), records[1:]
@@ -388,20 +385,17 @@ def synthetic_census_rows(
     per-column value frequencies)."""
     import numpy as np
 
-    n_rows = int(n_rows)
-    if n_rows < 1:
-        raise ValueError(f"n_rows must be >= 1, got {n_rows}")
+    n_rows = _check_count("n_rows", n_rows)
     gen = generator(seed)
     header = [name for name, _ in _SYNTH_COLUMNS]
     columns = []
-    for k, (_, values) in enumerate(_SYNTH_COLUMNS):
+    for _, values in _SYNTH_COLUMNS:
         # geometric-ish weights make some cells common and some rare
         weights = np.array([2.0 ** (-j) for j in range(len(values))])
         weights /= weights.sum()
         draws = gen.choice(len(values), size=n_rows, p=weights)
         columns.append([values[i] for i in draws])
-    rows = [tuple(col[i] for col in columns) for i in range(n_rows)]
-    return header, rows
+    return header, list(zip(*columns))
 
 
 def write_categorical_csv(

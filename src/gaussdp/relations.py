@@ -104,6 +104,5 @@ def sigma_via_cdp_route(budget: PrivacyBudget, sens: Sensitivity) -> NoiseScale:
 
 def zcdp_of_sigma(sigma: NoiseScale, sens: Sensitivity) -> ZcdpParams:
     """rho-zCDP achieved by Gaussian noise sigma: rho = Delta^2 / (2 sigma^2)."""
-    if sigma.sigma <= 0.0:
-        raise ValueError("zCDP conversion requires sigma > 0")
+    _check_range("sigma", sigma.sigma)
     return ZcdpParams(_half_square_ratio(sens.l2, sigma.sigma))

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from .calib import _check_count
+
 if TYPE_CHECKING:
     import numpy as np
 
@@ -42,9 +44,7 @@ def standard_normal(n: int, gen: np.random.Generator) -> np.ndarray:
     """
     import numpy as np
 
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    n = _check_count("n", n, zero=True)
     out = np.empty(n, dtype=np.float64)
     filled = 0
     while filled < n:

@@ -740,3 +740,19 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["calibrate", "--mech", "bogus", "--eps", "1", "--delta", "1e-4"])
     assert excinfo.value.code == 2
+
+
+def test_experiment_hist_oversized_field_exits_2(capsys, tmp_path):
+    # a field over csv.field_size_limit() is a domain error naming the file,
+    # not a traceback, and the output file is left as it was
+    path = tmp_path / "big.csv"
+    path.write_text("a,b\n" + "x" * 140_000 + ",y\n", encoding="utf-8")
+    out_path = tmp_path / "hist.out"
+    out_path.write_text("old table\n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "experiment", "hist", "--csv", str(path), "--eps", "1",
+        "--delta", "1e-5", "--trials", "2", "--output", str(out_path),
+    )
+    assert (code, out) == (2, "")
+    assert err == f"gaussdp: error: {path}: field larger than field limit (131072)\n"
+    assert out_path.read_text(encoding="utf-8") == "old table\n"
