@@ -113,30 +113,30 @@ def _check_count(name: str, value: float, zero: bool = False) -> int:
     return _check_range(name, int(_check_range(name, value, zero=zero)), zero=zero)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PrivacyBudget:
     """An (epsilon, delta) pair; epsilon > 0 and 0 < delta < 1."""
 
     epsilon: float
     delta: float
 
-    def __post_init__(self) -> None:
-        _check_range("epsilon", self.epsilon)
-        _check_range("delta", self.delta, 1.0)
+    def __init__(self, epsilon: float, delta: float) -> None:
+        self.__dict__["epsilon"] = _check_range("epsilon", epsilon)
+        self.__dict__["delta"] = _check_range("delta", delta, 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Sensitivity:
     """The query's l2-sensitivity (max l2 distance of true outputs on
     neighboring datasets)."""
 
     l2: float
 
-    def __post_init__(self) -> None:
-        _check_range("l2 sensitivity", self.l2, zero=True)
+    def __init__(self, l2: float) -> None:
+        self.__dict__["l2"] = _check_range("l2 sensitivity", l2, zero=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NoiseScale:
     """A Gaussian standard deviation together with the mechanism that
     produced it."""
@@ -144,8 +144,9 @@ class NoiseScale:
     sigma: float
     kind: Mechanism
 
-    def __post_init__(self) -> None:
-        _check_range("sigma", self.sigma, zero=True)
+    def __init__(self, sigma: float, kind: Mechanism) -> None:
+        self.__dict__["sigma"] = _check_range("sigma", sigma, zero=True)
+        self.__dict__["kind"] = kind
 
 
 @dataclass(frozen=True)
