@@ -265,9 +265,11 @@ def _solve_decreasing(fn, lo, hi, target, tol, newton=False, fn_lo=None, fn_hi=N
     where fn is known (this catches roots where ln fn bends so that the
     near end overshoots), taken if it lands inside the bracket and is under
     half the previous step; otherwise the step bisects.  A Newton step
-    shorter than sqrt(tol)/10 that lands in the bracket, at c, is within a
-    small fraction of tol of the root: the solve returns min(c + 0.4 tol,
-    hi) unevaluated, which keeps about tol/2 of slack above the root, as
+    shorter than sqrt(tol)/10 that lands in the bracket, at c, from a base
+    where fn is within a factor e of target is within a small fraction of
+    tol of the root (farther out, ln fn can be so steep that a short step
+    says nothing of the distance): the solve returns min(c + 0.4 tol, hi)
+    unevaluated, which keeps about tol/2 of slack above the root, as
     bisection does, and leaves the proof to the caller's profile
     certificate.  A subnormal target is the exception: fn is quantized
     there and equals target on a whole plateau, so a zero step (fn(base) ==
@@ -313,7 +315,7 @@ def _solve_decreasing(fn, lo, hi, target, tol, newton=False, fn_lo=None, fn_hi=N
                 if not 0.0 < ratio < math.inf or d >= 0.0:
                     continue
                 c = base + math.log(ratio) * value / -d
-                if abs(c - base) < close:
+                if abs(c - base) < close and abs(math.log(ratio)) < 1.0:
                     if not lo <= c <= hi or (c == base and target < _FLOAT_MIN):
                         continue
                     if c - 0.4 * tol == c + 0.4 * tol:

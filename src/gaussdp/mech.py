@@ -7,12 +7,13 @@ random variable (the empirical oracle for the analytic profiles).
 An experiment runs a list of mechanisms at once: it builds its data once and
 draws each trial's standard-normal vector once, from a substream keyed by
 (seed, trial index), and every mechanism scales that same vector by its own
-sigma (common random numbers).  The draws of consecutive trials are
-stacked into blocks, and each mechanism scores a whole block in one array
-expression whose error, per row, is bit-identical to scoring that trial
-alone.  A report is a pure function of its arguments, and a mechanism's
-report depends neither on which other mechanisms share the run nor on the
-block size.
+sigma (common random numbers).  Consecutive trials form blocks: a block's
+vectors are drawn in one call (``rng.standard_normal_rows``, one generator
+per trial, each row bit-identical to that trial's own draw), and each
+mechanism scores a whole block in one array expression whose error, per
+row, is bit-identical to scoring that trial alone.  A report is a pure
+function of its arguments, and a mechanism's report depends neither on
+which other mechanisms share the run nor on the block size.
 
 numpy is imported inside each function that uses it, on first use, not at
 module load: ``gaussdp`` imports this module eagerly, and a process that
@@ -33,7 +34,7 @@ from .calib import (
     Mechanism, NoiseScale, PrivacyBudget, Sensitivity,
     _check_count, _check_range, _half_square_ratio, calibrate,
 )
-from .rng import generator, standard_normal
+from .rng import generator, standard_normal, standard_normal_rows
 
 if TYPE_CHECKING:
     import numpy as np
@@ -44,8 +45,13 @@ _TRIAL_STREAM_BASE = 1
 
 # the most values in one block of stacked trial draws (_shared_trials): 200
 # trials of the README's experiments (10 dimensions, 48 cells) fit in one,
-# and each of a block's temporaries stays within a quarter of a megabyte
+# each of a block's scoring temporaries stays within a quarter of a
+# megabyte, and the uniforms drawn for it within about half of one
 _BLOCK = 1 << 15
+# the most trials in one block: each holds its generator (about a kilobyte)
+# and at least 64 uniforms until the block is drawn, which at few
+# dimensions would outweigh its values many times over
+_BLOCK_TRIALS = 1 << 8
 
 
 @dataclass(eq=False)
@@ -181,18 +187,18 @@ def _shared_trials(
 ) -> tuple[ExperimentReport, ...]:
     import numpy as np
 
-    # Each trial draws its own standard-normal vector, as a single-trial run
-    # would; consecutive trials' draws are stacked into a block of at most
-    # _BLOCK values (one row if a draw alone is larger), and every sigma
-    # scores the whole block in one array expression.  ``error`` reduces
-    # along the last axis, row by row, so the block size never shows.
+    # Each trial draws its own standard-normal vector from its own
+    # generator, as a single-trial run would; consecutive trials' draws are
+    # made together as the rows of a block of at most _BLOCK values and
+    # _BLOCK_TRIALS rows (one row if a draw alone is larger), and every
+    # sigma scores the whole block in one array expression.  ``error``
+    # reduces along the last axis, row by row, so the block size never shows.
     errors = np.empty((len(sigmas), trials))
-    rows = max(1, _BLOCK // truth.size)
+    rows = max(1, min(_BLOCK // truth.size, _BLOCK_TRIALS))
     for start in range(0, trials, rows):
         stop = min(start + rows, trials)
-        z = np.empty((stop - start, truth.size))
-        for t in range(start, stop):
-            z[t - start] = standard_normal(truth.size, generator(seed, _TRIAL_STREAM_BASE + t))
+        gens = [generator(seed, _TRIAL_STREAM_BASE + t) for t in range(start, stop)]
+        z = standard_normal_rows(truth.size, gens)
         for i, sigma in enumerate(sigmas):
             errors[i, start:stop] = error(truth + sigma * z, truth)
     return tuple(_report(*entry) for entry in zip(kinds, sigmas, errors))

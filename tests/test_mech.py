@@ -341,6 +341,11 @@ def test_shared_run_builds_one_generator_per_trial(monkeypatch):
     # the mean experiment also draws its dataset from one generator
     mean_experiment(50, 3, budget, MECHANISM_ORDER, trials=7, seed=2)
     assert len(calls) == 8
+    calls.clear()
+    # at d = 700 the first batch of trials 11 and 37 (seed 134) falls short,
+    # and those rows draw on from their own generators alone
+    mean_experiment(50, 700, budget, MECHANISM_ORDER, trials=40, seed=134)
+    assert calls == [(134, 0)] + [(134, 1 + t) for t in range(40)]
 
 
 def test_shared_run_calibrates_before_any_work(monkeypatch):
@@ -371,15 +376,21 @@ def _experiment_runs():
     )
 
 
-@pytest.mark.parametrize("block", ["one value", "three rows", "whole run"])
+@pytest.mark.parametrize("block", ["one value", "three rows", "whole run", "three trials"])
 def test_experiment_reports_do_not_depend_on_the_block(monkeypatch, block):
-    # 7 trials scored one row at a time, in blocks of 3 + 3 + 1 rows, and
-    # in one block of all 7 give the default block's reports exactly
+    # 7 trials scored one row at a time, in blocks of 3 + 3 + 1 rows (capped
+    # by values or by trials), and in one block of all 7 give the default
+    # block's reports exactly
     for size, run in _experiment_runs():
         default = run()
-        values = {"one value": 1, "three rows": 3 * size, "whole run": 7 * size + 1}[block]
+        name, value = {
+            "one value": ("_BLOCK", 1),
+            "three rows": ("_BLOCK", 3 * size),
+            "whole run": ("_BLOCK", 7 * size + 1),
+            "three trials": ("_BLOCK_TRIALS", 3),
+        }[block]
         with monkeypatch.context() as m:
-            m.setattr(gaussdp.mech, "_BLOCK", values)
+            m.setattr(gaussdp.mech, name, value)
             assert run() == default
 
 

@@ -25,7 +25,7 @@ TRACED = {
     ),
     "relations": ("sigma_via_cdp_route",),
     "compose": ("effective_unit_sigma", "composed_dp_delta", "composed_pdp_delta"),
-    "rng": ("generator", "standard_normal"),
+    "rng": ("generator", "standard_normal", "standard_normal_rows"),
     "mech": ("read_categorical_csv", "histogram_counts"),
     "specfun": ("erfc", "erfcx", "inverfc"),
     "cli": ("main",),

@@ -6,7 +6,6 @@ import math
 import pytest
 
 from gaussdp.calib import (
-    ConvergenceError,
     MECHANISM_ORDER,
     Mechanism,
     NoiseScale,
@@ -25,7 +24,7 @@ from gaussdp.mech import (
     synthetic_census_rows,
 )
 from gaussdp.relations import zcdp_of_sigma
-from gaussdp.rng import generator, standard_normal
+from gaussdp.rng import generator, standard_normal, standard_normal_rows
 
 UNIT = Sensitivity(1.0)
 BUDGET = PrivacyBudget(1.0, 1e-5)
@@ -56,6 +55,8 @@ COUNTS = {
 ENTRY_POINTS = {
     **{key: (name, call, POSITIVE) for key, (name, call) in COUNTS.items()},
     "standard_normal-n": ("n", lambda v: standard_normal(v, generator(0)), NON_NEGATIVE),
+    "standard_normal_rows-n": (
+        "n", lambda v: standard_normal_rows(v, [generator(0), generator(1)]), NON_NEGATIVE),
     "zcdp_of_sigma-sigma": (
         "sigma", lambda v: zcdp_of_sigma(_sigma(v), UNIT), NON_NEGATIVE),
     "dp_delta_profile-sigma": (
@@ -77,7 +78,7 @@ ENTRY_POINTS = {
 @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
 def test_bad_number_names_argument_and_bound(entry, value):
     name, call, bound = ENTRY_POINTS[entry]
-    if entry == "standard_normal-n" and value == 0:
+    if entry.startswith("standard_normal") and value == 0:
         assert call(value).size == 0  # the one count that may be 0
         return
     if value == 0:
@@ -95,14 +96,29 @@ def test_fractional_count_below_one_is_not_the_count_zero(entry):
         call(0.5)
 
 
-@pytest.mark.xfail(strict=True, raises=ConvergenceError,
-                   reason="dp-opt's root misses at tiny eps and delta (ROADMAP item 1)")
-def test_dp_opt_at_tiny_eps_and_delta_is_certified_or_named():
+# former ConvergenceErrors at the corners of eps = 10^-k (k = 8..323) by
+# nine deltas, and the one that took the most evaluations (1e-308, 1e-300):
+# far from the root a short Newton step there said nothing of the distance
+TINY_EPS_AND_DELTA = [
+    (1e-20, 1e-300), (1e-20, 1e-310), (1e-30, 5e-324), (1e-47, 1e-50),
+    (1e-108, 1e-100), (1e-208, 1e-200), (1e-308, 1e-300), (1e-317, 1e-310),
+    (1e-317, 5e-324),
+]
+
+
+@pytest.mark.parametrize("eps, delta", TINY_EPS_AND_DELTA, ids=repr)
+def test_dp_opt_at_tiny_eps_and_delta_is_certified_or_named(eps, delta):
     # inside the documented domain: the answer must pass its own profile,
-    # or a ValueError must name the bound; today the certificate gives up
-    budget = PrivacyBudget(1e-20, 1e-300)
-    try:
-        sigma = calibrate(Mechanism.DP_OPT, budget, UNIT)
-    except ValueError:
-        return
-    assert dp_delta_profile(sigma, budget.epsilon, UNIT) <= budget.delta
+    # and add no more noise than mech1 where mech1 answers, or a ValueError
+    # must name the bound
+    budget = PrivacyBudget(eps, delta)
+    sigmas = {}
+    for kind in (Mechanism.DP_OPT, Mechanism.MECH1):
+        try:
+            sigmas[kind] = calibrate(kind, budget, UNIT)
+        except ValueError as exc:
+            assert str(exc).startswith("sensitivity 1.0 is too large")
+    if Mechanism.DP_OPT in sigmas:
+        assert dp_delta_profile(sigmas[Mechanism.DP_OPT], eps, UNIT) <= delta
+    if len(sigmas) == 2:
+        assert sigmas[Mechanism.DP_OPT].sigma <= sigmas[Mechanism.MECH1].sigma
