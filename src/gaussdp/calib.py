@@ -30,11 +30,11 @@ Conventions used throughout:
     frontier and composition, call the formula alone and pay for no slope.
   * Solvers shrink a sign-change bracket of a strictly decreasing residual,
     by Newton steps on its logarithm or else by bisection, and stop about
-    tol/2 above the root, so the reported sigma errs on the noisy (safe)
-    side.  The exact profile (DP for dp-opt, pDP for pdp-opt) is the only
-    proof: one shared tail certifies every answer on it, raising sigma by a
-    few ulps wherever rounding left the profile above delta, and reports
-    the residual 2 (profile - delta) <= 0 it achieved.  It also closes
+    DEFAULT_TOL/2 above the root, so the reported sigma errs on the noisy
+    (safe) side.  The exact profile (DP for dp-opt, pDP for pdp-opt) is the
+    only proof: one shared tail certifies every answer on it, raising sigma
+    by a few ulps wherever rounding left the profile above delta, and
+    reports the residual 2 (profile - delta) <= 0 it achieved.  It also closes
     mechanisms 1 (DP) and 3 (pDP), whose inverfc-based roots lie close
     enough to the exact ones for rounding to matter.  Mechanisms 2, 4 and
     the cdp route sit far above theirs and never miss on the tests' domain
@@ -54,7 +54,11 @@ from .specfun import erfc, erfcx, inverf, inverfc, inverfc_seed
 _SQRT2 = math.sqrt(2.0)
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
+# the root tolerance of every solve; only the two optimal solvers take another
 DEFAULT_TOL = 1e-12
+# cap on inverfc_seed's argument in dp-opt's negative branch, whose exact
+# value is below 1 but rounds to 1.0 at tiny eps and delta
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 _MAX_ITERS = 200
 # cap on the doubling ulp nudges of the certificate: 2^64 ulp is over 4000
 # times sigma, far beyond any rounding shortfall
@@ -607,7 +611,8 @@ def solve_dp_opt(
     a = 0 when diff == 0; (0, c] with mechanism 2's constant
     c = inverfc_seed(2 delta) > inverfc(2 delta) when diff > 0; and
     [-inverfc_seed((2 - 2 delta)/(e^eps + 1)), 0) when diff < 0, a bound
-    on |a| looser than inverfc of the same argument.
+    on |a| looser than inverfc of the same argument; capping that argument
+    at _BELOW_ONE, as its rounding needs, only loosens the bound.
     """
     tol = _check_range("tol", float(tol))
     eps, delta = budget.epsilon, budget.delta
@@ -628,7 +633,7 @@ def solve_dp_opt(
         # Beyond eps = 700, e^eps overflows; the bound at eps = 700 (about
         # 26.4) still holds, as r(-26.4) > 2 - 1e-300 > 2 delta.
         y = (2.0 - 2.0 * delta) / (math.exp(min(eps, 700.0)) + 1.0)
-        lo, hi = -inverfc_seed(y), 0.0
+        lo, hi = -inverfc_seed(min(y, _BELOW_ONE)), 0.0
         root, iterations = _solve_decreasing(
             fn, lo, hi, target, tol, newton=True, fn_hi=at_zero
         )
@@ -673,7 +678,7 @@ def solve_pdp_opt(
 # failure frontier of F(delta) * Delta / eps calibrations
 
 
-def failure_threshold(f_of_delta: float, delta: float, tol: float = 1e-6) -> float:
+def failure_threshold(f_of_delta: float, delta: float) -> float:
     """The eps at which noise F(delta) * Delta / eps crosses the optimal DP
     noise from above; beyond it the calibration cannot achieve (eps, delta)-DP.
 
@@ -684,11 +689,10 @@ def failure_threshold(f_of_delta: float, delta: float, tol: float = 1e-6) -> flo
     noise exactly where the profile delta(F/eps, eps) exceeds delta: G is the
     root of delta(F/eps, eps) = delta, found by bisection on the closed-form
     profile.  The returned eps is the upper end of a bracket narrower than
-    tol, on the failing side of the crossing.
+    DEFAULT_TOL, on the failing side of the crossing.
     """
     f_of_delta = _check_range("F(delta)", float(f_of_delta))
     delta = _check_range("delta", float(delta), 1.0)
-    tol = _check_range("tol", float(tol))
 
     def profile(eps: float) -> float:
         return _dp_delta_unit(f_of_delta / eps, eps)
@@ -710,7 +714,7 @@ def failure_threshold(f_of_delta: float, delta: float, tol: float = 1e-6) -> flo
         raise BracketError(
             "no sign change of delta(F(delta)/eps, eps) - delta in eps in [1e-3, 1e4]"
         )
-    root, _ = _solve_decreasing(lambda e: -profile(e), prev_eps, eps, -delta, tol)
+    root, _ = _solve_decreasing(lambda e: -profile(e), prev_eps, eps, -delta, DEFAULT_TOL)
     return root
 
 
@@ -727,35 +731,27 @@ def _cdp_route(budget: PrivacyBudget, sens: Sensitivity) -> NoiseScale:
 # Each entry looks its function up when called, so that rebinding a module
 # name (as a call tracer does) also reroutes calibrate.
 _CALIBRATIONS = {
-    Mechanism.DWORK2006: lambda budget, sens, tol: sigma_dwork2006(budget, sens),
-    Mechanism.DWORK2014: lambda budget, sens, tol: sigma_dwork2014(budget, sens),
-    Mechanism.DP_OPT: lambda budget, sens, tol: solve_dp_opt(budget, sens, tol).noise,
-    Mechanism.MECH1: lambda budget, sens, tol: sigma_mech1(budget, sens),
-    Mechanism.MECH2: lambda budget, sens, tol: sigma_mech2(budget, sens),
-    Mechanism.PDP_OPT: lambda budget, sens, tol: solve_pdp_opt(budget, sens, tol).noise,
-    Mechanism.MECH3: lambda budget, sens, tol: sigma_mech3(budget, sens),
-    Mechanism.MECH4: lambda budget, sens, tol: sigma_mech4(budget, sens),
-    Mechanism.CDP_ROUTE: lambda budget, sens, tol: _cdp_route(budget, sens),
+    Mechanism.DWORK2006: lambda budget, sens: sigma_dwork2006(budget, sens),
+    Mechanism.DWORK2014: lambda budget, sens: sigma_dwork2014(budget, sens),
+    Mechanism.DP_OPT: lambda budget, sens: solve_dp_opt(budget, sens).noise,
+    Mechanism.MECH1: lambda budget, sens: sigma_mech1(budget, sens),
+    Mechanism.MECH2: lambda budget, sens: sigma_mech2(budget, sens),
+    Mechanism.PDP_OPT: lambda budget, sens: solve_pdp_opt(budget, sens).noise,
+    Mechanism.MECH3: lambda budget, sens: sigma_mech3(budget, sens),
+    Mechanism.MECH4: lambda budget, sens: sigma_mech4(budget, sens),
+    Mechanism.CDP_ROUTE: lambda budget, sens: _cdp_route(budget, sens),
 }
 
 
-def calibrate(
-    kind: Mechanism,
-    budget: PrivacyBudget,
-    sens: Sensitivity,
-    tol: float = DEFAULT_TOL,
-) -> NoiseScale:
-    """Calibrated noise scale for any mechanism tag (solvers included)."""
+def calibrate(kind: Mechanism, budget: PrivacyBudget, sens: Sensitivity) -> NoiseScale:
+    """Calibrated noise scale for any mechanism tag (solvers at DEFAULT_TOL)."""
     if not isinstance(kind, Mechanism):
         kind = Mechanism(kind)  # a string tag, or a ValueError
-    return _CALIBRATIONS[kind](budget, sens, tol)
+    return _CALIBRATIONS[kind](budget, sens)
 
 
 def compare_grid(
-    eps_grid: Iterable[float],
-    delta_grid: Iterable[float],
-    sens: Sensitivity,
-    tol: float = DEFAULT_TOL,
+    eps_grid: Iterable[float], delta_grid: Iterable[float], sens: Sensitivity
 ) -> list[tuple[float, float, Mechanism, float, bool]]:
     """Rows (eps, delta, kind, sigma, achieves_dp) for every mechanism at
     every (eps, delta) of the grid: eps outer, delta inner, MECHANISM_ORDER
@@ -775,7 +771,7 @@ def compare_grid(
         for delta in delta_grid:
             budget = PrivacyBudget(eps, delta)
             for kind, calibration in calibrations:
-                noise = calibration(budget, sens, tol)
+                noise = calibration(budget, sens)
                 achieves = kind in dp_certified or achieves_dp(noise, budget, sens)
                 rows.append((eps, delta, kind, noise.sigma, achieves))
     return rows

@@ -11,6 +11,8 @@ warning, none of which holds a comma, quote or newline.  The one other
 writer is ``compare``'s CSV, which formats its lines itself so that each
 grid value is repr'd once.  Nothing is written until the whole table is
 built, so a failing command leaves an existing output file as it was.
+No command sets how closely a root is solved: ``calibrate``, ``compare``
+and ``region`` get the library's fixed 1e-12, as its own callers do.
 Exit status: 0 on success, 2 on usage or domain errors, 3 on numerical
 non-convergence or bracket failure.
 """
@@ -28,7 +30,6 @@ from . import __version__
 from .calib import (
     BracketError,
     ConvergenceError,
-    DEFAULT_TOL,
     MECHANISM_ORDER,
     Mechanism,
     NoiseScale,
@@ -112,7 +113,7 @@ def cmd_calibrate(args) -> None:
     if solver is None:
         sigma, iterations, residual = calibrate(kind, budget, sens).sigma, 0, 0.0
     else:
-        result = solver(budget, sens, args.tol)
+        result = solver(budget, sens)
         sigma, iterations, residual = result.noise.sigma, result.iterations, result.residual
     warning = ""
     if kind in _CLASSICAL and budget.epsilon > 1.0:
@@ -129,7 +130,7 @@ def cmd_calibrate(args) -> None:
 
 
 def cmd_compare(args) -> None:
-    rows = compare_grid(args.eps_grid, args.delta_grid, Sensitivity(args.sens), args.tol)
+    rows = compare_grid(args.eps_grid, args.delta_grid, Sensitivity(args.sens))
     fieldnames = ["epsilon", "delta", "mechanism", "sigma", "achieves_dp"]
     if args.format == "json":
         _emit(fieldnames, rows, args)
@@ -164,7 +165,7 @@ def cmd_region(args) -> None:
         # F(delta) is the classical sigma at eps = 1 and unit sensitivity
         budget = PrivacyBudget(1.0, delta)
         g_2006, g_2014 = (
-            failure_threshold(calibrate(kind, budget, unit).sigma, delta, args.tol)
+            failure_threshold(calibrate(kind, budget, unit).sigma, delta)
             for kind in _CLASSICAL
         )
         rows.append((delta, g_2014, g_2006))
@@ -192,14 +193,11 @@ def cmd_experiment(args) -> None:
     _emit(["mechanism", "trials", "metric", "metric_stderr"], rows, args)
 
 
-def _add_output_flags(parser: argparse.ArgumentParser, solves: bool = False) -> None:
+def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="output format (default: csv)")
     parser.add_argument("--output", default="-", metavar="PATH",
                         help="output path, '-' for stdout (default)")
-    if solves:  # only a command that solves for a root takes a tolerance
-        parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                            help="solver tolerance on the root variable (default 1e-12)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -217,14 +215,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--sens", type=float, default=1.0)
-    _add_output_flags(p, solves=True)
+    _add_output_flags(p)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("compare", help="sigma table for all mechanisms over a grid")
     p.add_argument("--eps-grid", type=_parse_grid, required=True)
     p.add_argument("--delta-grid", type=_parse_grid, required=True)
     p.add_argument("--sens", type=float, default=1.0)
-    _add_output_flags(p, solves=True)
+    _add_output_flags(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("profile", help="DP/pDP delta profiles over a sigma grid")
@@ -236,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("region", help="failure frontier G(delta) of the classical mechanisms")
     p.add_argument("--delta-grid", type=_parse_grid, required=True)
-    _add_output_flags(p, solves=True)
+    _add_output_flags(p)
     p.set_defaults(func=cmd_region)
 
     p = sub.add_parser("compose", help="account a composition of Gaussian mechanisms")

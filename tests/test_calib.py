@@ -510,16 +510,16 @@ def test_solver_results_pinned(solve, row):
 
 
 @pytest.mark.parametrize(
-    "f, delta, tol, want",
+    "f, delta, want",
     [
-        (4.844805262605389, 1e-05, 1e-06, 8.41977174791057),
-        (6.88752468024622, 1e-10, 1e-12, 10.756740866745027),
-        (1.6894474573896319, 0.3, 1e-06, 4.969847210581823),
-        (37.18786563057293, 1e-300, 1e-12, 19.091684595913758),
+        (4.844805262605389, 1e-05, 8.419771301537278),
+        (6.88752468024622, 1e-10, 10.756740866745027),
+        (1.6894474573896319, 0.3, 4.969847045378584),
+        (37.18786563057293, 1e-300, 19.091684595913758),
     ],
 )
-def test_failure_threshold_pinned(f, delta, tol, want):
-    assert failure_threshold(f, delta, tol) == want
+def test_failure_threshold_pinned(f, delta, want):
+    assert failure_threshold(f, delta) == want
 
 
 # --- closed-form mechanisms -------------------------------------------------
@@ -685,9 +685,8 @@ def test_failure_threshold_values(f, delta, expected):
     "delta", [0.9, 0.5, 0.3, 1e-1, 1e-2, 1e-8, 1e-10, 1e-20, 1e-100, 1e-300]
 )
 def test_failure_threshold_matches_oracle(f, delta):
-    tol = 1e-6
-    got = failure_threshold(f(delta), delta, tol)
-    assert abs(got - float(oracle_failure_threshold(f(delta), delta))) <= tol
+    got = failure_threshold(f(delta), delta)
+    assert abs(got - float(oracle_failure_threshold(f(delta), delta))) <= 1e-6
 
 
 def test_failure_threshold_consistency():
@@ -728,14 +727,6 @@ def test_calibrate_dispatches_enum_and_tag(kind):
     assert calibrate(kind, budget, sens) == want
     assert calibrate(str(kind), budget, sens) == want
     assert calibrate(str(kind), budget, sens).kind is kind
-
-
-def test_calibrate_forwards_tol_to_solvers():
-    budget, tol = PrivacyBudget(2.0, 1e-5), 1e-3
-    for kind, solve in ((Mechanism.DP_OPT, solve_dp_opt), (Mechanism.PDP_OPT, solve_pdp_opt)):
-        coarse = calibrate(kind, budget, UNIT, tol)
-        assert coarse == solve(budget, UNIT, tol).noise
-        assert coarse != calibrate(kind, budget, UNIT)
 
 
 def test_calibrate_rejects_unknown_tag():

@@ -5,7 +5,9 @@ import io
 import json
 import math
 import os
+import re
 import runpy
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +16,8 @@ import pytest
 
 import gaussdp.cli
 from gaussdp.calib import (
-    DEFAULT_TOL,
+    BracketError,
+    ConvergenceError,
     MECHANISM_ORDER,
     Mechanism,
     NoiseScale,
@@ -46,6 +49,7 @@ from gaussdp.mech import (
 )
 
 UNIT = Sensitivity(1.0)
+REPO = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -100,12 +104,23 @@ def test_calibrate_mech2_domain_error_exits_2(capsys):
     assert "0.5" in err
 
 
-def test_calibrate_unreachable_tol_exits_3(capsys):
-    code, _, err = run_cli(
-        capsys, "calibrate", "--mech", "dp-opt", "--eps", "1",
-        "--delta", "1e-4", "--tol", "1e-40",
-    )
-    assert code == 3
+@pytest.mark.parametrize(
+    "name, error, argv",
+    [
+        ("solve_dp_opt", ConvergenceError,
+         ("calibrate", "--mech", "dp-opt", "--eps", "1", "--delta", "1e-4")),
+        ("failure_threshold", BracketError, ("region", "--delta-grid", "1e-4")),
+    ],
+    ids=["calibrate", "region"],
+)
+def test_solver_failure_exits_3(capsys, monkeypatch, name, error, argv):
+    def fail(*args):
+        raise error("no root")
+
+    monkeypatch.setattr(gaussdp.cli, name, fail)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == "gaussdp: failed to converge: no root\n"
 
 
 def test_csv_json_agree_exactly(capsys):
@@ -276,14 +291,17 @@ def _profile_case(tmp_path):
 
 
 def _region_case(tmp_path):
-    argv = ("region", "--delta-grid", "1e-3,1e-6")
+    # the library and the CLI solve the frontier to one tolerance, so the
+    # printed G is failure_threshold's, bit for bit
+    deltas = (1e-3, 1e-6, 1e-5, 1e-10, 0.3, 1e-300)
+    argv = ("region", "--delta-grid", ",".join(map(repr, deltas)))
     records = []
-    for delta in (1e-3, 1e-6):
+    for delta in deltas:
         budget = PrivacyBudget(1.0, delta)
         records.append({
             "delta": delta,
-            "G_dwork2014": failure_threshold(sigma_dwork2014(budget, UNIT).sigma, delta, DEFAULT_TOL),
-            "G_dwork2006": failure_threshold(sigma_dwork2006(budget, UNIT).sigma, delta, DEFAULT_TOL),
+            "G_dwork2014": failure_threshold(sigma_dwork2014(budget, UNIT).sigma, delta),
+            "G_dwork2006": failure_threshold(sigma_dwork2006(budget, UNIT).sigma, delta),
         })
     return argv, records
 
@@ -391,7 +409,7 @@ def test_compare_zero_sensitivity_needs_no_noise(capsys):
 
 
 def test_noise_comparison_script_rows_equal_compare(capsys, tmp_path):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "noise_comparison.py"
+    script = REPO / "scripts" / "noise_comparison.py"
     out = tmp_path / "noise_comparison.csv"
     assert runpy.run_path(str(script))["main"](["--out", str(out), "--sens", "2.5"]) == 0
     assert capsys.readouterr().out == f"wrote 486 rows to {out}\n"
@@ -582,7 +600,7 @@ def test_experiment_hist_reads_csv_once(capsys, tmp_path, monkeypatch):
 def test_readme_census_walkthrough(capsys, tmp_path):
     # README's two steps: the script writes the synthetic census, and
     # `experiment hist` reports on it as the library does on the same rows
-    script = Path(__file__).resolve().parents[1] / "scripts" / "make_synthetic_census.py"
+    script = REPO / "scripts" / "make_synthetic_census.py"
     path = tmp_path / "synth.csv"
     _run_python(str(script), "--rows", "500", "--seed", "0", "--out", str(path))
     argv = ("experiment", "hist", "--csv", str(path), "--eps", "0.1", "--delta", "1e-6",
@@ -590,6 +608,33 @@ def test_readme_census_walkthrough(capsys, tmp_path):
     _, rows = synthetic_census_rows(500, 0)
     reports = histogram_experiment(rows, PrivacyBudget(0.1, 1e-6), MECHANISM_ORDER, 200, 6)
     _assert_renders_as_csv_writer(capsys, tmp_path, argv, _report_records(reports))
+
+
+def _readme_block(heading):
+    # the first fenced block after the README heading
+    text = (REPO / "README.md").read_text(encoding="utf-8").split(heading, 1)[1]
+    return text.split("```", 2)[1]
+
+
+def test_readme_examples_run(capsys, tmp_path):
+    # every `gaussdp` line of the CLI block exits 0, so README advertises no
+    # flag the CLI lacks; synth.csv is a small census from the script
+    path = tmp_path / "synth.csv"
+    _run_python(str(REPO / "scripts" / "make_synthetic_census.py"),
+                "--rows", "200", "--out", str(path))
+    lines = [line for line in _readme_block("## CLI").splitlines()
+             if line.startswith("gaussdp ")]
+    assert len(lines) == 7
+    for line in lines:
+        argv = [str(path) if arg == "synth.csv" else arg for arg in shlex.split(line)[1:]]
+        assert run_cli(capsys, *argv)[0] == 0, line
+    # the quick start runs and gives the sigma and delta it quotes
+    quick = _readme_block("## Library quick start").removeprefix("python")
+    names = {}
+    exec(quick, names)
+    quoted = re.search(r"sigma = ([0-9.]+)", quick).group(1)
+    assert round(names["opt"].noise.sigma, 5) == float(quoted)
+    assert abs(names["delta"] - 0.01) <= 1e-12
 
 
 def test_experiment_hist_missing_csv_exits_2(capsys, tmp_path):
@@ -701,6 +746,9 @@ def test_output_to_a_device(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("calibrate", "--mech", "dp-opt", "--eps", "1", "--delta", "1e-5"),
+        ("compare", "--eps-grid", "1", "--delta-grid", "1e-5"),
+        ("region", "--delta-grid", "1e-5"),
         ("profile", "--sigma-grid", "1", "--eps", "1"),
         ("compose", "--term", "1:1", "--eps", "1"),
         ("experiment", "mean", "--n", "10", "--d", "2", "--eps", "1", "--delta", "1e-5",
@@ -708,10 +756,11 @@ def test_output_to_a_device(capsys):
         ("experiment", "hist", "--csv", "x.csv", "--eps", "1", "--delta", "1e-5",
          "--trials", "1"),
     ],
-    ids=["profile", "compose", "experiment-mean", "experiment-hist"],
+    ids=["calibrate", "compare", "region", "profile", "compose", "experiment-mean",
+         "experiment-hist"],
 )
-def test_tol_only_where_a_root_is_solved(capsys, argv):
-    # profile, compose and the experiments solve for no root
+def test_no_command_takes_tol(capsys, argv):
+    # every root is solved to the library's fixed tolerance
     with pytest.raises(SystemExit) as excinfo:
         main([*argv, "--tol", "5"])
     assert excinfo.value.code == 2

@@ -98,11 +98,13 @@ def test_fractional_count_below_one_is_not_the_count_zero(entry):
 
 # former ConvergenceErrors at the corners of eps = 10^-k (k = 8..323) by
 # nine deltas, and the one that took the most evaluations (1e-308, 1e-300):
-# far from the root a short Newton step there said nothing of the distance
+# far from the root a short Newton step there said nothing of the distance.
+# The last three had dp-opt's negative-branch bound (2 - 2 delta)/(e^eps + 1)
+# round to 1.0, outside inverfc_seed's domain
 TINY_EPS_AND_DELTA = [
     (1e-20, 1e-300), (1e-20, 1e-310), (1e-30, 5e-324), (1e-47, 1e-50),
     (1e-108, 1e-100), (1e-208, 1e-200), (1e-308, 1e-300), (1e-317, 1e-310),
-    (1e-317, 5e-324),
+    (1e-317, 5e-324), (1e-100, 1e-50), (1e-300, 1e-50), (1e-200, 1e-100),
 ]
 
 
