@@ -26,11 +26,13 @@ Conventions used throughout:
   * Each residual has one formula (``_dp_value``, ``_pdp_value``).  A
     Newton step calls it once, through ``_dp_value_slope`` or
     ``_pdp_value_slope``, which form the slope from the same e^{-u^2} and
-    s and return both.  The profiles, and so the certificate, the failure
-    frontier and composition, call the formula alone and pay for no slope.
-  * Solvers shrink a sign-change bracket of a strictly decreasing residual,
-    by Newton steps on its logarithm or else by bisection, and stop about
-    DEFAULT_TOL/2 above the root, so the reported sigma errs on the noisy
+    s and return both.  The profiles, and so the certificate and
+    composition, call the formula alone and pay for no slope; the failure
+    frontier adds its own closed-form eps-slope to the DP profile.
+  * One routine (``_solve_decreasing``) finds every root, the frontier's
+    too: it shrinks a sign-change bracket of a strictly decreasing function
+    by Newton steps on its logarithm or else by bisection, and stops about
+    DEFAULT_TOL/2 above the root, so a solver's sigma errs on the noisy
     (safe) side.  The exact profile (DP for dp-opt, pDP for pdp-opt) is the
     only proof: one shared tail certifies every answer on it, raising sigma
     by a few ulps wherever rounding left the profile above delta, and
@@ -95,7 +97,7 @@ class ConvergenceError(RuntimeError):
 
 
 class BracketError(RuntimeError):
-    """No sign change found while scanning for a root bracket."""
+    """No sign change of the function between the ends of a root bracket."""
 
 
 def _check_range(name: str, value: float, upper: float = math.inf, zero: bool = False) -> float:
@@ -256,32 +258,31 @@ def _pdp_value_slope(u: float, eps: float) -> tuple[float, float]:
     return _pdp_value(u, s), slope
 
 
-def _solve_decreasing(fn, lo, hi, target, tol, newton=False, fn_lo=None, fn_hi=None):
+def _solve_decreasing(fn, lo, hi, target, tol, fn_lo=None, fn_hi=None):
     """Solve fn(u) == target on a sign-change bracket fn(lo) > target >=
-    fn(hi); fn need not be monotone elsewhere.
+    fn(hi); fn has the sign of target and need not be monotone elsewhere.
 
-    Without ``newton`` fn returns its value alone and every step bisects,
-    so a profile (``failure_threshold``'s) pays for no slope.  With
-    ``newton`` (fn must be positive) one call fn(u) returns the pair (fn(u),
-    fn'(u)), so each evaluation gives the value and the slope, and each end
-    of the bracket keeps its pair.  Each step is a Newton step on ln fn =
-    ln target from the last evaluated point, or else from the other end
-    where fn is known (this catches roots where ln fn bends so that the
-    near end overshoots), taken if it lands inside the bracket and is under
-    half the previous step; otherwise the step bisects.  A Newton step
-    shorter than sqrt(tol)/10 that lands in the bracket, at c, from a base
-    where fn is within a factor e of target is within a small fraction of
-    tol of the root (farther out, ln fn can be so steep that a short step
-    says nothing of the distance): the solve returns min(c + 0.4 tol, hi)
-    unevaluated, which keeps about tol/2 of slack above the root, as
-    bisection does, and leaves the proof to the caller's profile
-    certificate.  A subnormal target is the exception: fn is quantized
-    there and equals target on a whole plateau, so a zero step (fn(base) ==
-    target) is skipped rather than returned.  ``fn_lo``/``fn_hi`` give the
-    pair at the ends where known; a Newton solve evaluates fn(hi) otherwise,
-    which confirms the bracket.  A known fn_lo <= target means the root
-    sits at lo to within fn's rounding, and min(lo + 0.4 tol, hi) is
-    returned unevaluated, with the same slack.
+    One call fn(u) returns the pair (fn(u), fn'(u)), so each evaluation
+    gives the value and the slope, and each end of the bracket keeps its
+    pair.  Each step is a Newton step on ln(fn / target) = 0 from the last
+    evaluated point, or else from the other end where fn is known (this
+    catches roots where ln fn bends so that the near end overshoots), taken
+    if it lands inside the bracket and is under half the previous step;
+    otherwise the step bisects.  A Newton step shorter than sqrt(tol)/10
+    that lands in the bracket, at c, from a base where fn is within a factor
+    e of target is within a small fraction of tol of the root (farther out,
+    ln fn can be so steep that a short step says nothing of the distance):
+    the solve returns min(c + 0.4 tol, hi) unevaluated, which keeps about
+    tol/2 of slack above the root, as bisection does, and leaves the proof
+    to the caller (a solver's profile certificate).  Two exceptions: where
+    c + 0.4 tol rounds to c (an ulp of c is over 0.8 tol), c is only an
+    ordinary step and the bracket must narrow below tol; and at a subnormal
+    target fn is quantized and equals target on a whole plateau, so a zero
+    step (fn(base) == target) is skipped rather than returned.
+    ``fn_lo``/``fn_hi`` give the pair at the ends where known; fn(hi) is
+    evaluated otherwise, which confirms the bracket.  A known fn_lo <=
+    target means the root sits at lo to within fn's rounding, and min(lo +
+    0.4 tol, hi) is returned unevaluated, with the same slack.
 
     Every evaluation shrinks the bracket.  Returns (root, evaluations):
     root is that Newton end point or else the upper end of a final bracket
@@ -291,13 +292,12 @@ def _solve_decreasing(fn, lo, hi, target, tol, newton=False, fn_lo=None, fn_hi=N
     if fn_lo is not None and fn_lo[0] <= target:
         return min(lo + 0.4 * tol, hi), 0
     evaluations = 0
-    if newton:
-        if fn_hi is None:
-            fn_hi = fn(hi)
-            evaluations = 1
-        if not fn_hi[0] <= target:
-            raise BracketError(f"no sign change: {fn_hi[0]!r} > {target!r} at {hi!r}")
-        close = 0.1 * math.sqrt(tol)
+    if fn_hi is None:
+        fn_hi = fn(hi)
+        evaluations = 1
+    if not fn_hi[0] <= target:
+        raise BracketError(f"no sign change: {fn_hi[0]!r} > {target!r} at {hi!r}")
+    close = 0.1 * math.sqrt(tol)
     x = hi  # the last evaluated point, Newton's first base
     last_step = hi - lo
     while hi - lo >= tol:
@@ -307,30 +307,27 @@ def _solve_decreasing(fn, lo, hi, target, tol, newton=False, fn_lo=None, fn_hi=N
                 f"after {evaluations} evaluations"
             )
         u = 0.5 * (lo + hi)
-        if newton:
-            ends = ((hi, fn_hi), (lo, fn_lo))
-            for base, known in ends if x == hi else ends[::-1]:
-                # Newton on ln fn; skipped where fn is unknown, not
-                # positive, flat, or too far from target for a finite ratio
-                if known is None:
+        ends = ((hi, fn_hi), (lo, fn_lo))
+        for base, known in ends if x == hi else ends[::-1]:
+            # Newton on ln(fn / target); skipped where fn is unknown, not of
+            # target's sign, flat, or too far from target for a finite ratio
+            if known is None:
+                continue
+            value, d = known
+            ratio = value / target
+            if not 0.0 < ratio < math.inf or d >= 0.0:
+                continue
+            c = base + math.log(ratio) * value / -d
+            if abs(c - base) < close and abs(math.log(ratio)) < 1.0:
+                if not lo <= c <= hi or (c == base and abs(target) < _FLOAT_MIN):
                     continue
-                value, d = known
-                ratio = value / target
-                if not 0.0 < ratio < math.inf or d >= 0.0:
-                    continue
-                c = base + math.log(ratio) * value / -d
-                if abs(c - base) < close and abs(math.log(ratio)) < 1.0:
-                    if not lo <= c <= hi or (c == base and target < _FLOAT_MIN):
-                        continue
-                    if c - 0.4 * tol == c + 0.4 * tol:
-                        raise ConvergenceError(
-                            f"tol {tol:.3e} is below float resolution at root {c!r}"
-                        )
+                if c - 0.4 * tol < c + 0.4 * tol:
                     return min(c + 0.4 * tol, hi), evaluations
-                if lo < c < hi and abs(c - base) < 0.5 * last_step:
-                    u = c
-                    break
-            last_step = abs(u - x)
+                # c + 0.4 tol rounds to c: the bracket must narrow below tol
+            if lo < c < hi and abs(c - base) < 0.5 * last_step:
+                u = c
+                break
+        last_step = abs(u - x)
         if not lo < u < hi:
             # bracket exhausted at float resolution with width still >= tol
             raise ConvergenceError(
@@ -338,7 +335,7 @@ def _solve_decreasing(fn, lo, hi, target, tol, newton=False, fn_lo=None, fn_hi=N
             )
         value = fn(u)
         evaluations += 1
-        if (value[0] if newton else value) > target:
+        if value[0] > target:
             lo, fn_lo = u, value
         else:
             hi, fn_hi = u, value
@@ -626,17 +623,13 @@ def solve_dp_opt(
         root, lo, hi, iterations = 0.0, 0.0, 0.0, 0
     elif at_zero[0] > target:
         lo, hi = 0.0, inverfc_seed(target)
-        root, iterations = _solve_decreasing(
-            fn, lo, hi, target, tol, newton=True, fn_lo=at_zero
-        )
+        root, iterations = _solve_decreasing(fn, lo, hi, target, tol, fn_lo=at_zero)
     else:
         # Beyond eps = 700, e^eps overflows; the bound at eps = 700 (about
         # 26.4) still holds, as r(-26.4) > 2 - 1e-300 > 2 delta.
         y = (2.0 - 2.0 * delta) / (math.exp(min(eps, 700.0)) + 1.0)
         lo, hi = -inverfc_seed(min(y, _BELOW_ONE)), 0.0
-        root, iterations = _solve_decreasing(
-            fn, lo, hi, target, tol, newton=True, fn_hi=at_zero
-        )
+        root, iterations = _solve_decreasing(fn, lo, hi, target, tol, fn_hi=at_zero)
     return _solver_result(
         Mechanism.DP_OPT, budget, sens, _dp_delta_unit, root, lo, hi, iterations
     )
@@ -666,8 +659,7 @@ def solve_pdp_opt(
         lo = inverfc(target)
         fn_lo = _pdp_value_slope(lo, eps)
     root, iterations = _solve_decreasing(
-        lambda u: _pdp_value_slope(u, eps), lo, hi, target, tol,
-        newton=True, fn_lo=fn_lo,
+        lambda u: _pdp_value_slope(u, eps), lo, hi, target, tol, fn_lo=fn_lo
     )
     return _solver_result(
         Mechanism.PDP_OPT, budget, sens, _pdp_delta_unit, root, lo, hi, iterations
@@ -687,35 +679,38 @@ def failure_threshold(f_of_delta: float, delta: float) -> float:
     (both sides are linear in Delta), so it is solved at Delta = 1.  The DP
     profile strictly decreases in sigma, so F/eps falls below the optimal
     noise exactly where the profile delta(F/eps, eps) exceeds delta: G is the
-    root of delta(F/eps, eps) = delta, found by bisection on the closed-form
-    profile.  The returned eps is the upper end of a bracket narrower than
-    DEFAULT_TOL, on the failing side of the crossing.
+    root of delta(F/eps, eps) = delta, found on eps in [1e-3, 1e4] by
+    ``_solve_decreasing``'s Newton steps, with the closed-form slope
+    d delta/d eps = e^{-a^2} (1/(sqrt(2 pi) F) - erfcx(b)/2) from the
+    profile's own a and b = sqrt(a^2 + eps) = (F + eps/(2F)) / sqrt(2).  The
+    returned eps is within about DEFAULT_TOL/2 of the crossing.
     """
     f_of_delta = _check_range("F(delta)", float(f_of_delta))
     delta = _check_range("delta", float(delta), 1.0)
 
-    def profile(eps: float) -> float:
-        return _dp_delta_unit(f_of_delta / eps, eps)
+    def excess(eps: float) -> tuple[float, float]:
+        # (-delta(F/eps, eps), -d delta/d eps), the profile's a and b at
+        # sigma = F/eps being (F -+ eps/(2F)) / sqrt(2); the slope is 0 where
+        # e^{-a^2} underflows, as the profile is flat there
+        half = 0.5 * eps / f_of_delta
+        a, b = (f_of_delta - half) / _SQRT2, (f_of_delta + half) / _SQRT2
+        decay = math.exp(-a * a)
+        slope = decay and decay * (_TWO_OVER_SQRT_PI / _SQRT2 / f_of_delta - erfcx(b)) / 2.0
+        return -_dp_delta_unit(f_of_delta / eps, eps), -slope
 
-    # geometric pre-scan for the sign change; the crossing exists for every
-    # delta but has no a-priori bound, hence the wide window
+    # the crossing exists for every delta but has no a-priori bound, hence
+    # the wide window
     lo, hi = 1e-3, 1e4
-    step = 10.0 ** 0.25
-    if profile(lo) >= delta:
+    at_lo, at_hi = excess(lo), excess(hi)
+    if at_lo[0] <= -delta:
         raise BracketError(
             f"F(delta)/eps already fails at eps={lo}; F(delta)={f_of_delta} too small?"
         )
-    eps = lo
-    while eps < hi:
-        prev_eps, eps = eps, min(eps * step, hi)
-        if profile(eps) >= delta:
-            break
-    else:
+    if at_hi[0] > -delta:
         raise BracketError(
             "no sign change of delta(F(delta)/eps, eps) - delta in eps in [1e-3, 1e4]"
         )
-    root, _ = _solve_decreasing(lambda e: -profile(e), prev_eps, eps, -delta, DEFAULT_TOL)
-    return root
+    return _solve_decreasing(excess, lo, hi, -delta, DEFAULT_TOL, at_lo, at_hi)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,9 @@ def _emit(fieldnames: list[str], rows: list[tuple], args) -> None:
             for row in [fieldnames, *rows]
         )
     else:
-        text = "".join(json.dumps(dict(zip(fieldnames, row))) + "\n" for row in rows)
+        text = "".join(
+            json.dumps(dict(zip(fieldnames, row)), allow_nan=False) + "\n" for row in rows
+        )
     _write_text(text, args)
 
 

@@ -195,13 +195,14 @@ def _shared_trials(
     # reduces along the last axis, row by row, so the block size never shows.
     errors = np.empty((len(sigmas), trials))
     rows = max(1, min(_BLOCK // truth.size, _BLOCK_TRIALS))
-    for start in range(0, trials, rows):
-        stop = min(start + rows, trials)
-        gens = [generator(seed, _TRIAL_STREAM_BASE + t) for t in range(start, stop)]
-        z = standard_normal_rows(truth.size, gens)
-        for i, sigma in enumerate(sigmas):
-            errors[i, start:stop] = error(truth + sigma * z, truth)
-    return tuple(_report(*entry) for entry in zip(kinds, sigmas, errors))
+    with np.errstate(over="ignore", invalid="ignore"):  # _report rejects inf and nan
+        for start in range(0, trials, rows):
+            stop = min(start + rows, trials)
+            gens = [generator(seed, _TRIAL_STREAM_BASE + t) for t in range(start, stop)]
+            z = standard_normal_rows(truth.size, gens)
+            for i, sigma in enumerate(sigmas):
+                errors[i, start:stop] = error(truth + sigma * z, truth)
+        return tuple(_report(*entry) for entry in zip(kinds, sigmas, errors))
 
 
 def _report(kind: Mechanism, sigma: float, errors: np.ndarray) -> ExperimentReport:
@@ -209,11 +210,14 @@ def _report(kind: Mechanism, sigma: float, errors: np.ndarray) -> ExperimentRepo
 
     trials = errors.size
     stderr = float(np.std(errors, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    metric = float(np.mean(errors))
+    if not (math.isfinite(metric) and math.isfinite(stderr)):
+        raise ValueError(f"{kind} at sigma={sigma!r}: its error leaves the double range")
     return ExperimentReport(
         mechanism=kind,
         sigma=sigma,
         trials=trials,
-        metric=float(np.mean(errors)),
+        metric=metric,
         metric_stderr=stderr,
     )
 

@@ -10,8 +10,11 @@ Float inputs are read as the exact double, ``mpf(float(x))``: the decimal
 from mpmath import erfc as _erfc, erfinv as _erfinv, exp as _exp, mp, mpf
 
 mp.dps = 50
+# digits oracle_dp_delta keeps beyond those it loses to cancellation
+_GUARD_DIGITS = 5
 
-# the library's pre-scan for failure_threshold: 1e-3 to 1e4, four steps a decade
+# oracle_failure_threshold's own scan for a bracket: 1e-3 to 1e4, four steps
+# a decade (the library solves on the whole window, with no scan)
 _FRONTIER_GRID = [mpf(10) ** (mpf(k) / 4 - 3) for k in range(29)]
 
 
@@ -50,20 +53,34 @@ def oracle_erfinv(p):
 def oracle_dp_delta(sigma, eps):
     """Exact DP profile at sensitivity 1: (1/2) erfc(a) - (e^eps/2) erfc(b),
     a, b = (eps sigma -+ 1/(2 sigma)) / sqrt(2) (Balle & Wang 2018; the
-    mu-GDP profile of Dong, Roth & Su with mu = 1/sigma)."""
-    sigma, eps = mpf(sigma), mpf(eps)
-    a = (eps * sigma - 1 / (2 * sigma)) / mp.sqrt(2)
-    b = (eps * sigma + 1 / (2 * sigma)) / mp.sqrt(2)
-    return (_erfc(a) - _exp(eps) * _erfc(b)) / 2
+    mu-GDP profile of Dong, Roth & Su with mu = 1/sigma).
+
+    The two terms cancel where both are near 1 (tiny eps), so the difference
+    is formed again with as many more digits as cancelled, plus a guard,
+    and rounded to mp.dps."""
+    extra = 0
+    while True:
+        with mp.workdps(mp.dps + extra):
+            s, e = mpf(sigma), mpf(eps)
+            a = (e * s - 1 / (2 * s)) / mp.sqrt(2)
+            b = (e * s + 1 / (2 * s)) / mp.sqrt(2)
+            head = _erfc(a)
+            diff = head - _exp(e) * _erfc(b)
+            # digits lost to cancellation: all of them where diff <= 0
+            lost = int(mp.log10(head / diff)) if diff > 0 else mp.dps
+        if lost <= extra:
+            return +diff / 2
+        extra = lost + _GUARD_DIGITS
 
 
 def oracle_failure_threshold(f_of_delta, delta):
     """The eps at which noise F(delta)/eps meets the optimal DP noise.
 
     The profile strictly decreases in sigma, so the crossing is the root of
-    oracle_dp_delta(F/eps, eps) = delta; it is bracketed by the same
-    geometric scan over [1e-3, 1e4] as the library, then refined by
-    bracketed root finding on the relative excess at full precision.
+    oracle_dp_delta(F/eps, eps) = delta; it is bracketed by the oracle's own
+    geometric scan over [1e-3, 1e4] (``_FRONTIER_GRID``), the library's
+    window, then refined by bracketed root finding on the relative excess
+    at full precision.
     """
     f_of_delta, delta = mpf(float(f_of_delta)), mpf(float(delta))
 

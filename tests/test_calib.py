@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp, mpf
 
+from gaussdp import calib
 from gaussdp.calib import (
     DEFAULT_TOL,
     MECHANISM_ORDER,
@@ -152,6 +153,12 @@ def test_dp_profile_small_eps_against_oracle(eps):
         sigma = (a + math.sqrt(a * a + eps)) / (eps * math.sqrt(2.0))
         got = dp_delta_profile(NoiseScale(sigma, Mechanism.DP_OPT), eps, UNIT)
         assert rel_err(got, oracle_dp_delta(sigma, eps)) <= 1e-11, a
+
+
+def test_oracle_dp_delta_keeps_its_digits_through_cancellation():
+    # at eps 1e-100 erfc(a) and e^eps erfc(b) are both 1 to 50 digits; the
+    # value is the profile at 200 digits
+    assert rel_err(oracle_dp_delta(4e49, 1e-100), "9.97355701003581748218092495e-51") <= 1e-10
 
 
 def test_pdp_profile_inverts_calibration():
@@ -512,10 +519,10 @@ def test_solver_results_pinned(solve, row):
 @pytest.mark.parametrize(
     "f, delta, want",
     [
-        (4.844805262605389, 1e-05, 8.419771301537278),
-        (6.88752468024622, 1e-10, 10.756740866745027),
-        (1.6894474573896319, 0.3, 4.969847045378584),
-        (37.18786563057293, 1e-300, 19.091684595913758),
+        (4.844805262605389, 1e-05, 8.419771301536734),
+        (6.88752468024622, 1e-10, 10.756740866745268),
+        (1.6894474573896319, 0.3, 4.969847045378651),
+        (37.18786563057293, 1e-300, 19.0916845959135),
     ],
 )
 def test_failure_threshold_pinned(f, delta, want):
@@ -686,7 +693,31 @@ def test_failure_threshold_values(f, delta, expected):
 )
 def test_failure_threshold_matches_oracle(f, delta):
     got = failure_threshold(f(delta), delta)
-    assert abs(got - float(oracle_failure_threshold(f(delta), delta))) <= 1e-6
+    assert abs(got - float(oracle_failure_threshold(f(delta), delta))) <= 1e-12
+
+
+@pytest.mark.parametrize("f", [f_dwork2014, f_dwork2006])
+@pytest.mark.parametrize("delta", [1e-3, 1e-4, 1e-5, 1e-6, 1e-10, 1e-100, 0.3])
+def test_failure_threshold_profile_evaluations(monkeypatch, f, delta):
+    # Newton on the profile's closed-form eps-slope needs 10 to 12 profiles
+    # per G at these deltas
+    calls = []
+    profile = calib._dp_delta_unit
+    monkeypatch.setattr(
+        calib, "_dp_delta_unit", lambda *args: calls.append(args) or profile(*args)
+    )
+    failure_threshold(f(delta), delta)
+    assert len(calls) <= 16
+
+
+@pytest.mark.parametrize("f, delta", [(60.0, 1e-40), (70.0, 1e-100)])
+def test_failure_threshold_where_g_outgrows_the_newton_exit(f, delta):
+    # above G = 4096 an ulp of G (9.1e-13) is over 0.8 DEFAULT_TOL, so
+    # G + 0.4 tol rounds to G and the bracket must narrow below tol instead
+    g = failure_threshold(f, delta)
+    assert 4096 < g < 8192
+    below, above = g - 1e-11, g + 1e-11
+    assert oracle_dp_delta(mpf(f) / below, below) < delta < oracle_dp_delta(mpf(f) / above, above)
 
 
 def test_failure_threshold_consistency():

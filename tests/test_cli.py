@@ -1,5 +1,6 @@
 """CLI surface: flags, table shapes, formats, determinism, exit codes."""
 
+import argparse
 import csv
 import io
 import json
@@ -575,6 +576,37 @@ def test_experiment_hist_table(capsys, tmp_path):
     assert max(rows[m] for m in dp_rows) == rows["dwork2006"]
     _, again, _ = run_cli(capsys, *args)
     assert again == out
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("kind", ["mean", "hist"])
+def test_experiment_non_finite_report_exits_2(capsys, tmp_path, kind, fmt):
+    header, records = synthetic_census_rows(200, seed=0)
+    write_categorical_csv(tmp_path / "synth.csv", header, records)
+    # the mean case's sigmas are all near 1e300; at eps 1e-160 the classical
+    # sigmas are about 5e160 and the histogram's MSE is their square
+    if kind == "mean":
+        args = ("--n", "10", "--d", "3", "--eps", "1e-300", "--delta", "1e-300")
+        sigma = "6.441127269719674e+300"
+    else:
+        args = ("--csv", str(tmp_path / "synth.csv"), "--eps", "1e-160", "--delta", "1e-5")
+        sigma = "4.940864832300146e+160"
+    path = tmp_path / "report.out"
+    path.write_text("old table\n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "experiment", kind, *args, "--trials", "3",
+        "--format", fmt, "--output", str(path),
+    )
+    message = f"dwork2006 at sigma={sigma}: its error leaves the double range"
+    assert (code, out, err) == (2, "", f"gaussdp: error: {message}\n")
+    assert path.read_text(encoding="utf-8") == "old table\n"
+
+
+def test_json_rejects_non_finite_cells(capsys):
+    args = argparse.Namespace(format="json", output="-")
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        gaussdp.cli._emit(["metric"], [(math.inf,)], args)
+    assert capsys.readouterr().out == ""
 
 
 def test_experiment_hist_reads_csv_once(capsys, tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ import csv
 import math
 import runpy
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -251,6 +252,28 @@ def test_mean_experiment_sensitivity_override():
 def test_mean_experiment_propagates_domain_errors():
     with pytest.raises(ValueError):
         mean_experiment(100, 4, PrivacyBudget(1, 0.6), (Mechanism.MECH2,), 10, 0)
+
+
+def test_experiments_reject_a_non_finite_report():
+    # every sigma near 1e300 squares beyond the double range in the l2
+    # error; at eps 1e-160 the classical sigmas (5e160) do in the MSE
+    _, rows = synthetic_census_rows(200, seed=0)
+    tiny_eps = PrivacyBudget(1e-160, 1e-5)
+    cases = [
+        (lambda: mean_experiment(10, 3, PrivacyBudget(1e-300, 1e-300), MECHANISM_ORDER, 3, 0),
+         "dwork2006 at sigma=6.441127269719674e+300: its error leaves the double range"),
+        (lambda: histogram_experiment(rows, tiny_eps, MECHANISM_ORDER, 3, 0),
+         "dwork2006 at sigma=4.940864832300146e+160: its error leaves the double range"),
+    ]
+    for run, message in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # nor does numpy warn on the way
+            with pytest.raises(ValueError) as info:
+                run()
+        assert str(info.value) == message
+    # dp-opt's sigma there is about 4e4, and its report stays finite
+    (report,) = histogram_experiment(rows, tiny_eps, (Mechanism.DP_OPT,), 3, 0)
+    assert math.isfinite(report.metric) and math.isfinite(report.metric_stderr)
 
 
 # --- histogram experiment ---------------------------------------------------
