@@ -502,9 +502,12 @@ def _mech1_root(eps: float, delta: float) -> float:
         arg = 2.0 * delta / denom
         if 0.0 < arg < 2.0:
             return inverfc(arg)
-    # Rounding pushed the inner argument out of inverfc's domain (only
-    # conceivable for extreme inputs); fall back to the coarser elementary
-    # bound, which is a strict upper bound on this root.
+    # ratio tends to 1 as eps -> 0, and 1 - ratio rounds to 0 (or arg out
+    # of inverfc's domain) once it is below ratio's rounding error: at every
+    # delta <= 1e-20 tried, for eps below about 3e-32, e.g. (1e-33, 1e-20),
+    # (1e-40, 1e-50) and (1e-35, 5e-324); never at delta >= 1e-12.  Fall
+    # back to the coarser elementary bound (mechanism 2's), which is a
+    # strict upper bound on this root, though a loose one there.
     if delta < 0.5:
         return inverfc_seed(2.0 * delta)
     raise ArithmeticError(

@@ -8,12 +8,13 @@ An experiment runs a list of mechanisms at once: it builds its data once and
 draws each trial's standard-normal vector once, from a substream keyed by
 (seed, trial index), and every mechanism scales that same vector by its own
 sigma (common random numbers).  Consecutive trials form blocks: a block's
-vectors are drawn in one call (``rng.standard_normal_rows``, one generator
-per trial, each row bit-identical to that trial's own draw), and each
-mechanism scores a whole block in one array expression whose error, per
-row, is bit-identical to scoring that trial alone.  A report is a pure
-function of its arguments, and a mechanism's report depends neither on
-which other mechanisms share the run nor on the block size.
+vectors are drawn in one call (``rng.standard_normal_rows`` on the seed and
+the block's trial keys, which builds no generator per trial, each row
+bit-identical to that trial's own draw), and each mechanism scores a whole
+block in one array expression whose error, per row, is bit-identical to
+scoring that trial alone.  A report is a pure function of its arguments,
+and a mechanism's report depends neither on which other mechanisms share
+the run nor on the block size.
 
 numpy is imported inside each function that uses it, on first use, not at
 module load: ``gaussdp`` imports this module eagerly, and a process that
@@ -34,7 +35,7 @@ from .calib import (
     Mechanism, NoiseScale, PrivacyBudget, Sensitivity,
     _check_count, _check_range, _half_square_ratio, calibrate,
 )
-from .rng import generator, standard_normal, standard_normal_rows
+from .rng import _check_seed, generator, standard_normal, standard_normal_rows
 
 if TYPE_CHECKING:
     import numpy as np
@@ -48,9 +49,11 @@ _TRIAL_STREAM_BASE = 1
 # each of a block's scoring temporaries stays within a quarter of a
 # megabyte, and the uniforms drawn for it within about half of one
 _BLOCK = 1 << 15
-# the most trials in one block: each holds its generator (about a kilobyte)
-# and at least 64 uniforms until the block is drawn, which at few
-# dimensions would outweigh its values many times over
+# the most trials in one block: each draws at least 64 uniforms and holds
+# its derived 128-bit state, and the polar pass makes several temporaries of
+# each, which at few dimensions outweigh its values many times over (at one
+# dimension and 40,000 trials, the run's traced peak is 3.5 MB with this cap
+# and 75 MB without it)
 _BLOCK_TRIALS = 1 << 8
 
 
@@ -103,17 +106,18 @@ def sample_noise(dim: int, sigma: float, seed: int) -> NoisySample:
 
     dim = _check_count("dim", dim)
     sigma = _check_range("sigma", float(sigma), zero=True)
+    seed = _check_seed(seed)
     if sigma == 0.0:
         values = np.zeros(dim)
     else:
         values = sigma * standard_normal(dim, generator(seed))
-    return NoisySample(values=values, seed=int(seed), sigma=sigma)
+    return NoisySample(values=values, seed=seed, sigma=sigma)
 
 
 def randomize(answer: QueryAnswer, sigma: NoiseScale, seed: int) -> NoisySample:
     """The Gaussian mechanism: answer.values + sample_noise(dim, sigma, seed)."""
     noise = sample_noise(answer.dim, sigma.sigma, seed)
-    return NoisySample(values=answer.values + noise.values, seed=int(seed), sigma=sigma.sigma)
+    return NoisySample(values=answer.values + noise.values, seed=noise.seed, sigma=sigma.sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +142,7 @@ def privacy_loss_tails(
     sigma = _check_range("sigma", float(sigma))
     epsilon = _check_range("epsilon", float(epsilon), zero=True)
     n_samples = _check_count("n_samples", n_samples)
+    seed = _check_seed(seed)
     if distance == 0.0:
         return 0.0, 0.0
     mean = _half_square_ratio(distance, sigma)
@@ -188,7 +193,7 @@ def _shared_trials(
     import numpy as np
 
     # Each trial draws its own standard-normal vector from its own
-    # generator, as a single-trial run would; consecutive trials' draws are
+    # substream, as a single-trial run would; consecutive trials' draws are
     # made together as the rows of a block of at most _BLOCK values and
     # _BLOCK_TRIALS rows (one row if a draw alone is larger), and every
     # sigma scores the whole block in one array expression.  ``error``
@@ -198,8 +203,8 @@ def _shared_trials(
     with np.errstate(over="ignore", invalid="ignore"):  # _report rejects inf and nan
         for start in range(0, trials, rows):
             stop = min(start + rows, trials)
-            gens = [generator(seed, _TRIAL_STREAM_BASE + t) for t in range(start, stop)]
-            z = standard_normal_rows(truth.size, gens)
+            keys = range(_TRIAL_STREAM_BASE + start, _TRIAL_STREAM_BASE + stop)
+            z = standard_normal_rows(truth.size, seed, keys)
             for i, sigma in enumerate(sigmas):
                 errors[i, start:stop] = error(truth + sigma * z, truth)
         return tuple(_report(*entry) for entry in zip(kinds, sigmas, errors))

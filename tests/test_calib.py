@@ -543,6 +543,25 @@ def test_mech1_against_oracle():
     assert abs(got - MECH1_SIGMA_1_1E5) <= 1e-9
 
 
+# (eps, delta) where mech1's 1 - e^eps erfc(sqrt(u^2 + eps)) / erfc(u)
+# rounds to 0, so its root falls back to mechanism 2's inverfc_seed(2 delta)
+MECH1_FALLBACK = [(1e-33, 1e-20), (1e-40, 1e-50), (1e-35, 5e-324)]
+
+
+@pytest.mark.parametrize("eps, delta", MECH1_FALLBACK, ids=repr)
+def test_mech1_fallback_is_reached_and_sound(monkeypatch, eps, delta):
+    calls = []
+
+    def recording(p):
+        calls.append(p)
+        return inverfc_seed(p)
+
+    monkeypatch.setattr(calib, "inverfc_seed", recording)
+    sigma = sigma_mech1(budget(eps, delta), UNIT).sigma
+    assert calls == [2.0 * delta]
+    assert oracle_dp_delta(sigma, eps) <= delta
+
+
 def test_mech1_below_mech2():
     b = budget(0.5, 1e-4)
     assert sigma_mech1(b, UNIT).sigma < sigma_mech2(b, UNIT).sigma

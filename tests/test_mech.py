@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import gaussdp.mech
+import gaussdp.rng
 from gaussdp.calib import (
     MECHANISM_ORDER,
     Mechanism,
@@ -35,6 +36,8 @@ from gaussdp.mech import (
     synthetic_census_rows,
     write_categorical_csv,
 )
+from gaussdp.rng import generator
+from test_rng import reference_standard_normal
 
 UNIT = Sensitivity(1.0)
 
@@ -323,15 +326,32 @@ def test_histogram_reproducible():
 
 
 def _counting_generator(monkeypatch):
+    # the generators built by the experiments, and by the block draw for a
+    # row that its first batch leaves short
     calls = []
-    real = gaussdp.mech.generator
+    real = gaussdp.rng.generator
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
     monkeypatch.setattr(gaussdp.mech, "generator", counting)
+    monkeypatch.setattr(gaussdp.rng, "generator", counting)
     return calls
+
+
+def _recording_rows(monkeypatch):
+    # (key, row) of every trial draw made by the experiments
+    drawn = []
+    real = gaussdp.mech.standard_normal_rows
+
+    def recording(n, seed, keys):
+        rows = real(n, seed, keys)
+        drawn.extend(zip(keys, rows.copy()))
+        return rows
+
+    monkeypatch.setattr(gaussdp.mech, "standard_normal_rows", recording)
+    return drawn
 
 
 def test_mean_experiment_shared_run_matches_single_runs():
@@ -354,32 +374,36 @@ def test_histogram_experiment_shared_run_matches_single_runs():
         assert report.sigma == calibrate(kind, budget, UNIT).sigma
 
 
-def test_shared_run_builds_one_generator_per_trial(monkeypatch):
+def test_shared_run_rows_match_one_generator_draws(monkeypatch):
+    # at d = 700 the first batch of trials 11 and 37 (seed 134) falls short;
+    # every trial's row is still the one-generator loop's draw from its own
+    # substream, and the only generators built are the dataset's and one
+    # for each short row to draw on from
     _, rows = synthetic_census_rows(100, seed=1)
-    calls = _counting_generator(monkeypatch)
     budget = PrivacyBudget(0.5, 1e-4)
+    calls = _counting_generator(monkeypatch)
+    drawn = _recording_rows(monkeypatch)
     histogram_experiment(rows, budget, MECHANISM_ORDER, trials=7, seed=2)
-    assert len(calls) == 7
-    calls.clear()
-    # the mean experiment also draws its dataset from one generator
     mean_experiment(50, 3, budget, MECHANISM_ORDER, trials=7, seed=2)
-    assert len(calls) == 8
-    calls.clear()
-    # at d = 700 the first batch of trials 11 and 37 (seed 134) falls short,
-    # and those rows draw on from their own generators alone
     mean_experiment(50, 700, budget, MECHANISM_ORDER, trials=40, seed=134)
-    assert calls == [(134, 0)] + [(134, 1 + t) for t in range(40)]
+    assert calls == [(2, 0), (134, 0), (134, 12), (134, 38)]
+    seeds = [2] * 14 + [134] * 40
+    assert [key for key, _ in drawn] == [*range(1, 8), *range(1, 8), *range(1, 41)]
+    for seed, (key, row) in zip(seeds, drawn):
+        assert row.tobytes() == reference_standard_normal(row.size, generator(seed, key)).tobytes()
 
 
 def test_shared_run_calibrates_before_any_work(monkeypatch):
     # mech2 rejects delta >= 0.5, and no data or noise is built before that
     calls = _counting_generator(monkeypatch)
+    drawn = _recording_rows(monkeypatch)
     budget = PrivacyBudget(1.0, 0.6)
     with pytest.raises(ValueError, match="delta < 0.5"):
         mean_experiment(50, 3, budget, MECHANISM_ORDER, trials=3, seed=0)
     with pytest.raises(ValueError, match="delta < 0.5"):
         histogram_experiment([()], budget, MECHANISM_ORDER, trials=3, seed=0)
     assert calls == []
+    assert drawn == []
 
 
 def test_experiments_reject_a_single_mechanism():
@@ -434,6 +458,54 @@ def test_experiment_reports_pinned():
         ExperimentReport(Mechanism.PDP_OPT, 4.916014274014054, 9, 25.166936474117033, 1.9424157854037165),
         ExperimentReport(Mechanism.MECH1, 4.634136897111424, 9, 22.36360437428458, 1.7260510908750974),
         ExperimentReport(Mechanism.MECH4, 5.218769162926226, 9, 28.36222235462431, 2.189031965309369),
+    )
+
+
+def test_experiment_reports_pinned_at_larger_sizes():
+    # frozen reports of trial-by-trial draws, one generator per trial: the
+    # README's runs (200 trials, one block each), three blocks of 256 + 256
+    # + 88 trials at d = 1, short first batches (d = 700, seed 134, trials
+    # 11 and 37) and a five-word seed
+    E, M = ExperimentReport, Mechanism
+    assert mean_experiment(1000, 10, PrivacyBudget(0.1, 1e-4), MECHANISM_ORDER, 200, 6) == (
+        E(M.DWORK2006, 0.14073725556892266, 200, 0.44360162976203144, 0.0063387524221737625),
+        E(M.DWORK2014, 0.13735708153051587, 200, 0.43294737402672445, 0.006186510670075455),
+        E(M.DP_OPT, 0.07750143482923479, 200, 0.24428331119692584, 0.0034906351254318023),
+        E(M.MECH1, 0.10077256265438363, 200, 0.31763354236283836, 0.004538757865015409),
+        E(M.MECH2, 0.12549395522975623, 200, 0.39555498535311834, 0.0056521999769365856),
+        E(M.PDP_OPT, 0.12304147259959854, 200, 0.38782479843634815, 0.005541741092759765),
+        E(M.MECH3, 0.12343638502236452, 200, 0.3890695562202348, 0.005559527797966111),
+        E(M.MECH4, 0.1308993520213878, 200, 0.412592711551381, 0.005895656990982061),
+        E(M.CDP_ROUTE, 0.1360902118402691, 200, 0.42895422056485116, 0.006129451341433811),
+    )
+    _, rows = synthetic_census_rows(5000, 6)
+    assert histogram_experiment(rows, PrivacyBudget(0.1, 1e-6), MECHANISM_ORDER, 200, 6) == (
+        E(M.DWORK2006, 53.86772268905419, 200, 2904.3862029881648, 39.42206235503051),
+        E(M.DWORK2014, 52.988025268504735, 200, 2810.2994803748757, 38.14499643252148),
+        E(M.DP_OPT, 36.304690426195826, 200, 1319.2363499934704, 17.906371265969472),
+        E(M.MECH1, 43.373208661821764, 200, 1882.9562816763273, 25.557902689273675),
+        E(M.MECH2, 49.95832285688093, 200, 2498.117341740864, 33.90765922072269),
+        E(M.PDP_OPT, 48.918938873948676, 200, 2395.2518789490478, 32.511436953798984),
+        E(M.MECH3, 49.01838729676203, 200, 2405.0005019681075, 32.64375779464917),
+        E(M.MECH4, 51.327025881905605, 200, 2636.873730501323, 35.79103926303449),
+        E(M.CDP_ROUTE, 52.660166125723954, 200, 2775.6300665111467, 37.674418589346885),
+    )
+    kinds = (M.DP_OPT, M.MECH2, M.DWORK2006)
+    assert mean_experiment(100, 1, PrivacyBudget(0.5, 1e-5), kinds, 600, 3) == (
+        E(M.DP_OPT, 0.07031826675583602, 600, 0.05345055884082215, 0.0016564193539230668),
+        E(M.MECH2, 0.09110506067752643, 600, 0.06925108696648367, 0.002146073740278383),
+        E(M.DWORK2006, 0.09881729664600292, 600, 0.0751133378643721, 0.002327743418863654),
+    )
+    assert mean_experiment(50, 700, PrivacyBudget(0.5, 1e-4), kinds, 40, 134) == (
+        E(M.DP_OPT, 3.1186993548563566, 40, 82.23749786272671, 0.33490193719923395),
+        E(M.MECH2, 4.252343215806891, 40, 112.13073987941569, 0.4566384311434669),
+        E(M.DWORK2006, 4.709969439145112, 40, 124.19796126935248, 0.5057806828550617),
+    )
+    _, rows = synthetic_census_rows(300, 2**128 + 5)
+    assert histogram_experiment(rows, PrivacyBudget(1.0, 1e-5), kinds, 20, 2**128 + 5) == (
+        E(M.DP_OPT, 3.7306316348164876, 20, 13.810928409086898, 0.7845522111410901),
+        E(M.MECH2, 4.608858083040344, 20, 21.078747800014305, 1.1974124913793518),
+        E(M.DWORK2006, 4.940864832300146, 20, 24.225016573648183, 1.3761413972199275),
     )
 
 

@@ -1,14 +1,20 @@
 """Seeded normal draws: ``standard_normal_rows`` against the polar Box-Muller
-loop over one generator at a time, bit for bit."""
+loop over one generator at a time, bit for bit, and the PCG64 states it
+derives against numpy's own SeedSequence and PCG64."""
 
 import numpy as np
 import pytest
 
-from gaussdp.rng import generator, standard_normal, standard_normal_rows
+from gaussdp.rng import _pcg64_states, generator, standard_normal, standard_normal_rows
 
 # (seed, key) whose first batch of 482 pairs holds fewer than the 350
 # accepted pairs that 700 values need
 SHORT = (2, 797)
+
+# one-word, two-word, three-word and five-word seeds, and keys at the ends of
+# 256-trial blocks and of the uint32 range
+SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 5]
+KEYS = [0, 1, 2, 255, 256, 257, 512, 513, 2**31, 2**32 - 1]
 
 
 def reference_standard_normal(n, gen):
@@ -34,17 +40,35 @@ def reference_standard_normal(n, gen):
 def test_rows_equal_one_generator_draws(n):
     # the short key sits between others, so rows after it must still find
     # their own values, and last, where its values run past the end
-    keys = [(3, 1), (3, 2), SHORT, (3, 3), (5, 8), SHORT]
-    gens = [generator(*key) for key in keys]
-    rows = standard_normal_rows(n, gens)
+    seed, short = SHORT
+    keys = [1, 2, short, 3, 8, short]
+    rows = standard_normal_rows(n, seed, keys)
     assert rows.shape == (len(keys), n)
     assert rows.dtype == np.float64
-    for row, gen, key in zip(rows, gens, keys):
-        alone = generator(*key)
-        assert row.tobytes() == reference_standard_normal(n, alone).tobytes()
-        # each generator is left where the loop leaves it
+    for row, key in zip(rows, keys):
+        assert row.tobytes() == reference_standard_normal(n, generator(seed, key)).tobytes()
+        gen, alone = generator(seed, key), generator(seed, key)
+        assert standard_normal(n, gen).tobytes() == row.tobytes()
+        # one generator is left where the loop leaves it
+        reference_standard_normal(n, alone)
         assert gen.random() == alone.random()
-        assert standard_normal(n, generator(*key)).tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("seed", SEEDS + [6, 134, 2**40 + 3, 3**200])
+def test_rows_equal_one_generator_draws_at_every_seed_width(seed):
+    keys = range(250, 262)
+    rows = standard_normal_rows(700, seed, keys)
+    for row, key in zip(rows, keys):
+        assert row.tobytes() == reference_standard_normal(700, generator(seed, key)).tobytes()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_derived_states_equal_numpy_seeding(seed):
+    # numpy is the oracle: a numpy whose SeedSequence or PCG64 seeding
+    # changed fails here instead of drifting silently
+    for (state, inc), key in zip(_pcg64_states(np.random.SeedSequence(seed), KEYS), KEYS):
+        bits = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(key,)))
+        assert bits.state["state"] == {"state": state, "inc": inc}
 
 
 def test_pinned_key_falls_short_in_its_first_batch():
@@ -54,4 +78,11 @@ def test_pinned_key_falls_short_in_its_first_batch():
 
 
 def test_no_generators_give_no_rows():
-    assert standard_normal_rows(5, []).shape == (0, 5)
+    assert standard_normal_rows(5, 0, []).shape == (0, 5)
+    assert standard_normal_rows(5, 0, range(0)).shape == (0, 5)
+
+
+@pytest.mark.parametrize("keys", [[-1], [2**32], [1.0], [[1]], [2**70]], ids=repr)
+def test_keys_outside_uint32_are_rejected(keys):
+    with pytest.raises(ValueError, match=r"keys must be a sequence of integers in \[0, 2\*\*32\)"):
+        standard_normal_rows(3, 0, keys)

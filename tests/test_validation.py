@@ -16,6 +16,7 @@ from gaussdp.calib import (
     dp_delta_profile,
     pdp_delta_profile,
 )
+from gaussdp.cli import main
 from gaussdp.mech import (
     histogram_experiment,
     mean_experiment,
@@ -56,7 +57,7 @@ ENTRY_POINTS = {
     **{key: (name, call, POSITIVE) for key, (name, call) in COUNTS.items()},
     "standard_normal-n": ("n", lambda v: standard_normal(v, generator(0)), NON_NEGATIVE),
     "standard_normal_rows-n": (
-        "n", lambda v: standard_normal_rows(v, [generator(0), generator(1)]), NON_NEGATIVE),
+        "n", lambda v: standard_normal_rows(v, 0, [1, 2]), NON_NEGATIVE),
     "zcdp_of_sigma-sigma": (
         "sigma", lambda v: zcdp_of_sigma(_sigma(v), UNIT), NON_NEGATIVE),
     "dp_delta_profile-sigma": (
@@ -86,6 +87,51 @@ def test_bad_number_names_argument_and_bound(entry, value):
     with pytest.raises(ValueError) as excinfo:
         call(value)
     assert str(excinfo.value) == f"{name} must be {bound}, got {value!r}"
+
+
+SEED_ENTRY_POINTS = {
+    "generator": lambda seed: generator(seed, 3),
+    "standard_normal_rows": lambda seed: standard_normal_rows(4, seed, [1, 2]),
+    "sample_noise": lambda seed: sample_noise(3, 1.0, seed),
+    "sample_noise-zero-sigma": lambda seed: sample_noise(3, 0.0, seed),
+    "privacy_loss_tails-zero-distance": lambda seed: privacy_loss_tails(0.0, 1.0, 1.0, 10, seed),
+    "mean_experiment": lambda seed: mean_experiment(10, 2, BUDGET, MECHANISM_ORDER, 2, seed),
+    "histogram_experiment": (
+        lambda seed: histogram_experiment(ROWS, BUDGET, MECHANISM_ORDER, 2, seed)),
+}
+
+
+# -10**400 is past any float (math.isfinite of it raises OverflowError), and
+# a float is no seed even where it is whole
+@pytest.mark.parametrize("seed", [-1, -(10**400), 1.5, 2.0, "3"], ids=repr)
+@pytest.mark.parametrize("entry", list(SEED_ENTRY_POINTS))
+def test_bad_seed_names_its_bound(entry, seed):
+    with pytest.raises(ValueError) as excinfo:
+        SEED_ENTRY_POINTS[entry](seed)
+    assert str(excinfo.value) == f"seed must be an integer >= 0, got {seed!r}"
+
+
+@pytest.mark.parametrize("kind", ["mean", "hist"])
+def test_cli_bad_seed_names_its_bound(capsys, tmp_path, kind):
+    path = tmp_path / "rows.csv"
+    path.write_text("a,b\nx,y\n", encoding="utf-8")
+    data = ["--n", "10", "--d", "2"] if kind == "mean" else ["--csv", str(path)]
+    argv = ["experiment", kind, *data, "--eps", "1", "--delta", "1e-5", "--trials", "2"]
+    assert main([*argv, "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "gaussdp: error: seed must be an integer >= 0, got -1\n"
+
+
+def test_huge_seeds_are_seeds():
+    # a seed of any width is valid, and never reaches a float check
+    seed = 10**400
+    assert sample_noise(3, 1.0, seed).values.tobytes() == (
+        standard_normal(3, generator(seed)).tobytes()
+    )
+    assert standard_normal_rows(3, seed, [5])[0].tobytes() == (
+        standard_normal(3, generator(seed, 5)).tobytes()
+    )
 
 
 @pytest.mark.parametrize("entry", list(COUNTS))
