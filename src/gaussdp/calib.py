@@ -678,42 +678,50 @@ def failure_threshold(f_of_delta: float, delta: float) -> float:
     noise from above; beyond it the calibration cannot achieve (eps, delta)-DP.
 
     ``f_of_delta`` is the multiplier F(delta) itself, e.g.
-    sqrt(2 ln(1.25/delta)) for Dwork-2014.  The crossing is Delta-independent
-    (both sides are linear in Delta), so it is solved at Delta = 1.  The DP
-    profile strictly decreases in sigma, so F/eps falls below the optimal
-    noise exactly where the profile delta(F/eps, eps) exceeds delta: G is the
-    root of delta(F/eps, eps) = delta, found on eps in [1e-3, 1e4] by
-    ``_solve_decreasing``'s Newton steps, with the closed-form slope
-    d delta/d eps = e^{-a^2} (1/(sqrt(2 pi) F) - erfcx(b)/2) from the
-    profile's own a and b = sqrt(a^2 + eps) = (F + eps/(2F)) / sqrt(2).  The
-    returned eps is within about DEFAULT_TOL/2 of the crossing.
+    sqrt(2 ln(1.25/delta)) for Dwork-2014.  Both noises are linear in Delta
+    and the DP profile strictly decreases in sigma, so G is the root of
+    delta(F/eps, eps) = delta at Delta = 1: dp-opt's r(a; eps) = 2 delta with
+    a = (F - eps/(2F)) / sqrt(2), i.e. eps = 2F^2 - 2 sqrt(2) F a.  Newton
+    (``_solve_decreasing``) starts at eps0 = 2F^2 (a = 0) with the slope
+    d delta/d eps = e^{-a^2} (1/(sqrt(2 pi) F) - erfcx(b)/2), b = sqrt(a^2 +
+    eps), on dp-opt's bracket read along that line.  r <= erfc(a), so a* <
+    inverfc_seed(2 delta); r rises with eps, r_eps = e^{-a^2} (1/(sqrt(pi) b)
+    - erfcx(b)) > 0, so for a < 0 it exceeds its eps -> 0 limit 2 erf(-a),
+    and -a* < erfinv(delta) < inverfc_seed(min(1 - delta, _BELOW_ONE)).  For
+    delta >= 0.5, a* < 0 (r(0; eps) < 1 <= 2 delta), and the solve runs on
+    the complement e^{-a^2} (erfcx(-a) + erfcx(b)) / 2 = 1 - delta, exact.
+    The tolerance is DEFAULT_TOL * min(upper end, 1), at least 2 ulp of it;
+    where G is below ~0.005 (F far below delta's multiplier) the Newton exit
+    can miss by more, about tol / (200 G).  Where 2 F^2 is not a normal
+    double a ValueError names F(delta).
     """
-    f_of_delta = _check_range("F(delta)", float(f_of_delta))
+    f = _check_range("F(delta)", float(f_of_delta))
     delta = _check_range("delta", float(delta), 1.0)
+    eps0, scale = 2.0 * f * f, 2.0 * _SQRT2 * f  # eps = eps0 - scale * a
+    if not _FLOAT_MIN <= eps0 < math.inf:
+        raise ValueError(f"F(delta) must have 2 F(delta)^2 a normal double, got {f!r}")
+    near_one = delta >= 0.5
+    target = 1.0 - delta if near_one else -delta
 
-    def excess(eps: float) -> tuple[float, float]:
-        # (-delta(F/eps, eps), -d delta/d eps), the profile's a and b at
-        # sigma = F/eps being (F -+ eps/(2F)) / sqrt(2); the slope is 0 where
-        # e^{-a^2} underflows, as the profile is flat there
-        half = 0.5 * eps / f_of_delta
-        a, b = (f_of_delta - half) / _SQRT2, (f_of_delta + half) / _SQRT2
+    def fn(eps: float) -> tuple[float, float]:
+        # (-delta(F/eps, eps), or its complement, and -d delta/d eps); the
+        # slope is 0 where e^{-a^2} underflows, as the profile is flat there
+        a, b = (eps0 - eps) / scale, (f + 0.5 * eps / f) / _SQRT2
         decay = math.exp(-a * a)
-        slope = decay and decay * (_TWO_OVER_SQRT_PI / _SQRT2 / f_of_delta - erfcx(b)) / 2.0
-        return -_dp_delta_unit(f_of_delta / eps, eps), -slope
+        slope = decay and decay * (_TWO_OVER_SQRT_PI / _SQRT2 / f - erfcx(b)) / 2.0
+        if near_one:
+            return 0.5 * decay * (erfcx(-a) + erfcx(b)), -slope
+        return -0.5 * _dp_value(a, eps, b, decay), -slope
 
-    # the crossing exists for every delta but has no a-priori bound, hence
-    # the wide window
-    lo, hi = 1e-3, 1e4
-    at_lo, at_hi = excess(lo), excess(hi)
-    if at_lo[0] <= -delta:
-        raise BracketError(
-            f"F(delta)/eps already fails at eps={lo}; F(delta)={f_of_delta} too small?"
-        )
-    if at_hi[0] > -delta:
-        raise BracketError(
-            "no sign change of delta(F(delta)/eps, eps) - delta in eps in [1e-3, 1e4]"
-        )
-    return _solve_decreasing(excess, lo, hi, -delta, DEFAULT_TOL, at_lo, at_hi)[0]
+    at_eps0 = fn(eps0)
+    if at_eps0[0] >= target:  # a* <= 0; hi rounded up keeps a(hi) below the bound
+        hi = eps0 + scale * inverfc_seed(min(1.0 - delta, _BELOW_ONE))
+        lo, hi, fn_lo, fn_hi = eps0, math.nextafter(hi, math.inf), at_eps0, None
+    else:
+        lo, hi = max(0.0, eps0 - scale * inverfc_seed(2.0 * delta)), eps0
+        fn_lo, fn_hi = None, at_eps0
+    tol = max(DEFAULT_TOL * min(hi, 1.0), 2.0 * math.ulp(hi))
+    return _solve_decreasing(fn, lo, hi, target, tol, fn_lo, fn_hi)[0]
 
 
 # ---------------------------------------------------------------------------

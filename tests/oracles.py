@@ -13,9 +13,8 @@ mp.dps = 50
 # digits oracle_dp_delta keeps beyond those it loses to cancellation
 _GUARD_DIGITS = 5
 
-# oracle_failure_threshold's own scan for a bracket: 1e-3 to 1e4, four steps
-# a decade (the library solves on the whole window, with no scan)
-_FRONTIER_GRID = [mpf(10) ** (mpf(k) / 4 - 3) for k in range(29)]
+# the relative width to which the oracles bisect a root
+_BISECT_WIDTH = mpf("1e-25")
 
 
 def oracle_erf(x):
@@ -73,45 +72,41 @@ def oracle_dp_delta(sigma, eps):
         extra = lost + _GUARD_DIGITS
 
 
+def _bisect(excess, lo, hi):
+    """The root of excess, which is > 0 at lo and <= 0 at hi, bisected at
+    full precision to a relative width below _BISECT_WIDTH; the upper end."""
+    while hi - lo > hi * _BISECT_WIDTH:
+        mid = (lo + hi) / 2
+        if excess(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def oracle_failure_threshold(f_of_delta, delta):
     """The eps at which noise F(delta)/eps meets the optimal DP noise.
 
     The profile strictly decreases in sigma, so the crossing is the root of
-    oracle_dp_delta(F/eps, eps) = delta; it is bracketed by the oracle's own
-    geometric scan over [1e-3, 1e4] (``_FRONTIER_GRID``), the library's
-    window, then refined by bracketed root finding on the relative excess
-    at full precision.
+    oracle_dp_delta(F/eps, eps) = delta, which rises in eps.  The root lies
+    in (0, 2F (F + sqrt(2) erfinv(delta))]: at eps = 2F^2 - 2 sqrt(2) F a the
+    profile's a is that a, and the profile exceeds erf(-a) for a < 0, so the
+    crossing's a is above -erfinv(delta).
     """
     f_of_delta, delta = mpf(float(f_of_delta)), mpf(float(delta))
-
-    def excess(eps):
-        return oracle_dp_delta(f_of_delta / eps, eps) / delta - 1
-
-    grid = _FRONTIER_GRID
-    if excess(grid[0]) >= 0:
-        raise ValueError("profile already exceeds delta at eps = 1e-3")
-    for lo, hi in zip(grid, grid[1:]):
-        if excess(hi) >= 0:
-            return mp.findroot(excess, (lo, hi), solver="anderson")
-    raise ValueError("no crossing in [1e-3, 1e4]")
+    hi = 2 * f_of_delta * (f_of_delta + mp.sqrt(2) * _erfinv(delta))
+    return _bisect(lambda eps: delta - oracle_dp_delta(f_of_delta / eps, eps), 0, hi)
 
 
 def oracle_dp_opt_sigma(eps, delta, lo, hi):
     """The optimal DP sigma at sensitivity 1: the root of
     oracle_dp_delta(sigma, eps) = delta, which strictly decreases in sigma,
-    bisected at full precision on the sign-change bracket (lo, hi) to a
-    relative width below 1e-20."""
+    bisected at full precision on the sign-change bracket (lo, hi)."""
     eps, delta = mpf(float(eps)), mpf(float(delta))
     lo, hi = mpf(lo), mpf(hi)
     if not oracle_dp_delta(lo, eps) > delta >= oracle_dp_delta(hi, eps):
         raise ValueError("no sign change of the profile on (lo, hi)")
-    while hi - lo > hi * mpf("1e-20"):
-        mid = (lo + hi) / 2
-        if oracle_dp_delta(mid, eps) > delta:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return _bisect(lambda sigma: oracle_dp_delta(sigma, eps) - delta, lo, hi)
 
 
 def rel_err(got, true) -> float:

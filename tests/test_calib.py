@@ -519,10 +519,10 @@ def test_solver_results_pinned(solve, row):
 @pytest.mark.parametrize(
     "f, delta, want",
     [
-        (4.844805262605389, 1e-05, 8.419771301536734),
-        (6.88752468024622, 1e-10, 10.756740866745268),
-        (1.6894474573896319, 0.3, 4.969847045378651),
-        (37.18786563057293, 1e-300, 19.0916845959135),
+        (4.844805262605389, 1e-05, 8.419771301536331),
+        (6.88752468024622, 1e-10, 10.756740866745254),
+        (1.6894474573896319, 0.3, 4.969847045378653),
+        (37.18786563057293, 1e-300, 19.09168459591424),
     ],
 )
 def test_failure_threshold_pinned(f, delta, want):
@@ -708,35 +708,62 @@ def test_failure_threshold_values(f, delta, expected):
 
 @pytest.mark.parametrize("f", [f_dwork2014, f_dwork2006])
 @pytest.mark.parametrize(
-    "delta", [0.9, 0.5, 0.3, 1e-1, 1e-2, 1e-8, 1e-10, 1e-20, 1e-100, 1e-300]
+    "delta",
+    [1 - 2**-53, 1 - 2**-40, 0.999, 0.9, 0.5, 0.3, 1e-1, 1e-2, 1e-8, 1e-10, 1e-20, 1e-100, 1e-300],
 )
 def test_failure_threshold_matches_oracle(f, delta):
     got = failure_threshold(f(delta), delta)
     assert abs(got - float(oracle_failure_threshold(f(delta), delta))) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "f, delta",
+    [(f, delta) for f in (1e-4, 1e-3, 1e-2, 0.1, 0.3) for delta in (1e-5, 0.3, 0.7)]
+    + [(56.31, 1.6e-39), (100.0, 1e-10), (200.0, 1e-300), (1e4, 0.3), (1e8, 1e-5)],
+)
+def test_failure_threshold_any_f_matches_oracle(f, delta):
+    # G from 2.5e-9 to 2e16: to 1e-12, or 4 ulp where G is in the thousands
+    # or above, as the tolerance's 2 ulp floor lets G of any size narrow
+    got = failure_threshold(f, delta)
+    bound = max(1e-12, 4 * math.ulp(got))
+    assert abs(got - float(oracle_failure_threshold(f, delta))) <= bound
+
+
 @pytest.mark.parametrize("f", [f_dwork2014, f_dwork2006])
 @pytest.mark.parametrize("delta", [1e-3, 1e-4, 1e-5, 1e-6, 1e-10, 1e-100, 0.3])
 def test_failure_threshold_profile_evaluations(monkeypatch, f, delta):
-    # Newton on the profile's closed-form eps-slope needs 10 to 12 profiles
-    # per G at these deltas
+    # Newton from eps = 2F^2 on dp-opt's bracket needs 4 to 10 profiles per
+    # G at these deltas, the one at 2F^2 included
     calls = []
-    profile = calib._dp_delta_unit
-    monkeypatch.setattr(
-        calib, "_dp_delta_unit", lambda *args: calls.append(args) or profile(*args)
-    )
+    value = calib._dp_value
+    monkeypatch.setattr(calib, "_dp_value", lambda *args: calls.append(args) or value(*args))
     failure_threshold(f(delta), delta)
-    assert len(calls) <= 16
+    assert len(calls) <= 10
 
 
 @pytest.mark.parametrize("f, delta", [(60.0, 1e-40), (70.0, 1e-100)])
-def test_failure_threshold_where_g_outgrows_the_newton_exit(f, delta):
-    # above G = 4096 an ulp of G (9.1e-13) is over 0.8 DEFAULT_TOL, so
-    # G + 0.4 tol rounds to G and the bracket must narrow below tol instead
+def test_failure_threshold_where_g_is_in_the_thousands(f, delta):
+    # G is bracketed on the 50-digit profile itself, within 1e-11
     g = failure_threshold(f, delta)
     assert 4096 < g < 8192
     below, above = g - 1e-11, g + 1e-11
     assert oracle_dp_delta(mpf(f) / below, below) < delta < oracle_dp_delta(mpf(f) / above, above)
+
+
+def test_failure_threshold_domain_sweep():
+    # every F(delta) = 10^k gets a finite G > 0, or a ValueError naming
+    # F(delta) where 2 F^2 leaves the normal doubles (|k| > 150 here)
+    answered = 0
+    for k in range(-300, 301, 5):
+        for delta in (1e-300, 1e-5, 0.3, 0.5, 0.7, 1 - 2**-53):
+            try:
+                g = failure_threshold(10.0**k, delta)
+            except ValueError as exc:
+                assert "F(delta)" in str(exc) and abs(k) > 150
+                continue
+            assert math.isfinite(g) and g > 0.0
+            answered += 1
+    assert answered == 61 * 6
 
 
 def test_failure_threshold_consistency():

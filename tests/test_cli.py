@@ -48,6 +48,7 @@ from gaussdp.mech import (
     synthetic_census_rows,
     write_categorical_csv,
 )
+from oracles import oracle_failure_threshold
 
 UNIT = Sensitivity(1.0)
 REPO = Path(__file__).resolve().parents[1]
@@ -108,9 +109,9 @@ def test_calibrate_mech2_domain_error_exits_2(capsys):
 @pytest.mark.parametrize(
     "name, error, argv",
     [
-        ("solve_dp_opt", ConvergenceError,
+        ("solve_dp_opt", BracketError,
          ("calibrate", "--mech", "dp-opt", "--eps", "1", "--delta", "1e-4")),
-        ("failure_threshold", BracketError, ("region", "--delta-grid", "1e-4")),
+        ("failure_threshold", ConvergenceError, ("region", "--delta-grid", "1e-4")),
     ],
     ids=["calibrate", "region"],
 )
@@ -468,6 +469,16 @@ def test_region_table(capsys):
         assert float(row["G_dwork2006"]) > float(row["G_dwork2014"])
     # frontier recedes (G grows) as delta shrinks
     assert float(rows[1]["G_dwork2014"]) > float(rows[0]["G_dwork2014"])
+
+
+def test_region_near_delta_one_meets_the_oracle(capsys):
+    # 1 - 2^-53: the frontier is solved on the profile's complement there
+    code, out, _ = run_cli(capsys, "region", "--delta-grid", "0.9999999999999999")
+    assert code == 0
+    (row,) = parse_csv(out)
+    for kind, name in ((Mechanism.DWORK2014, "G_dwork2014"), (Mechanism.DWORK2006, "G_dwork2006")):
+        f = calibrate(kind, PrivacyBudget(1.0, 1 - 2**-53), UNIT).sigma
+        assert abs(float(row[name]) - float(oracle_failure_threshold(f, 1 - 2**-53))) <= 1e-12
 
 
 @pytest.mark.parametrize("delta", ["0", "-1e-3", "1.5"])
