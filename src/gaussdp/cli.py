@@ -11,6 +11,10 @@ warning, none of which holds a comma, quote or newline.  The one other
 writer is ``compare``'s CSV, which formats its lines itself so that each
 grid value is repr'd once.  Nothing is written until the whole table is
 built, so a failing command leaves an existing output file as it was.
+``--output`` gets the table as one UTF-8 buffer with ``os.linesep`` line
+ends, written over the old file, which is then trimmed to it.
+Each command is parsed once, by its own subcommand's parser; the top-level
+parser answers only ``-h``, ``--version`` and usage errors.
 No command sets how closely a root is solved: ``calibrate``, ``compare``
 and ``region`` get the library's fixed 1e-12, as its own callers do.
 Exit status: 0 on success, 2 on usage or domain errors, 3 on numerical
@@ -96,11 +100,18 @@ def _write_over(path: str, text: str) -> None:
     first: on ext4 a file truncated to zero and written again starts
     writeback when closed (the replace-via-truncate safeguard), a disk
     request each time a command rewrites its output file."""
+    if os.linesep != "\n":
+        text = text.replace("\n", os.linesep)
+    data = text.encode("utf-8")
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
-    with open(fd, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        view = memoryview(data)
+        while view:  # os.write may take only part of the buffer
+            view = view[os.write(fd, view):]
         if stat.S_ISREG(os.fstat(fd).st_mode):
-            fh.truncate()
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _budget(args) -> PrivacyBudget:
@@ -274,13 +285,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # built once per process; parse_args keeps no state between calls
-    return build_parser()
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    # built once per process (parsing keeps no state between calls), with
+    # its table of command name -> that command's parser
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = _parser()
+    # the command's own parser reads its arguments once; the top-level parser
+    # runs only for what it alone answers (no command, -h, --version, an
+    # unknown name) and for leftover arguments, whose error it prints
+    command = commands.get(argv[0]) if argv else None
+    args, extra = command.parse_known_args(argv[1:]) if command else (None, None)
+    if args is None or extra:
+        args = parser.parse_args(argv)
     try:
         args.func(args)
     except (ValueError, ArithmeticError, OSError) as exc:

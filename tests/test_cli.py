@@ -786,22 +786,21 @@ def test_output_to_a_device(capsys):
     assert (code, out) == (0, "")
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("calibrate", "--mech", "dp-opt", "--eps", "1", "--delta", "1e-5"),
-        ("compare", "--eps-grid", "1", "--delta-grid", "1e-5"),
-        ("region", "--delta-grid", "1e-5"),
-        ("profile", "--sigma-grid", "1", "--eps", "1"),
-        ("compose", "--term", "1:1", "--eps", "1"),
-        ("experiment", "mean", "--n", "10", "--d", "2", "--eps", "1", "--delta", "1e-5",
-         "--trials", "1"),
-        ("experiment", "hist", "--csv", "x.csv", "--eps", "1", "--delta", "1e-5",
-         "--trials", "1"),
-    ],
-    ids=["calibrate", "compare", "region", "profile", "compose", "experiment-mean",
-         "experiment-hist"],
-)
+# one short command per subcommand; "x.csv" stands for a census file
+EVERY_COMMAND = {
+    "calibrate": ("calibrate", "--mech", "dp-opt", "--eps", "1", "--delta", "1e-5"),
+    "compare": ("compare", "--eps-grid", "1", "--delta-grid", "1e-5"),
+    "region": ("region", "--delta-grid", "1e-5"),
+    "profile": ("profile", "--sigma-grid", "1", "--eps", "1"),
+    "compose": ("compose", "--term", "1:1", "--eps", "1"),
+    "experiment-mean": ("experiment", "mean", "--n", "10", "--d", "2", "--eps", "1",
+                        "--delta", "1e-5", "--trials", "1"),
+    "experiment-hist": ("experiment", "hist", "--csv", "x.csv", "--eps", "1",
+                        "--delta", "1e-5", "--trials", "1"),
+}
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND.values(), ids=EVERY_COMMAND.keys())
 def test_no_command_takes_tol(capsys, argv):
     # every root is solved to the library's fixed tolerance
     with pytest.raises(SystemExit) as excinfo:
@@ -848,3 +847,108 @@ def test_experiment_hist_oversized_field_exits_2(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err == f"gaussdp: error: {path}: field larger than field limit (131072)\n"
     assert out_path.read_text(encoding="utf-8") == "old table\n"
+
+
+def _reference_main(argv):
+    # the reference dispatch: the top-level parser reads every argument and
+    # hands the rest to the command's parser; then main's except clauses
+    args = gaussdp.cli.build_parser().parse_args(argv)
+    try:
+        args.func(args)
+    except (ValueError, ArithmeticError, OSError) as exc:
+        print(f"gaussdp: error: {exc}", file=sys.stderr)
+        return 2
+    except (ConvergenceError, BracketError) as exc:
+        print(f"gaussdp: failed to converge: {exc}", file=sys.stderr)
+        return 3
+    return 0
+
+
+def _outcome(run, argv, capsysbinary):
+    try:
+        code = run(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsysbinary.readouterr()
+    return code, captured.out, captured.err
+
+
+_DISPATCH_CASES = [
+    *(tuple(shlex.split(line)[1:]) for line in _readme_block("## CLI").splitlines()
+      if line.startswith("gaussdp ")),
+    *((*argv, "--tol", "5") for argv in EVERY_COMMAND.values()),
+    (), ("--version",), ("-h",), ("calibrat",),
+    ("--format", "json", *EVERY_COMMAND["calibrate"]),
+    ("calibrate", "-h"),
+    ("calibrate", "--mech", "nope", "--eps", "1", "--delta", "1e-5"),
+    ("calibrate", "--mech", "dp-opt", "--delta", "1e-5"),
+    ("calibrate", "--mech", "dp-opt", "--eps", "abc", "--delta", "1e-5"),
+    ("calibrate", "--me", "dp-opt", "--eps", "1", "--delta", "1e-5"),
+    (*EVERY_COMMAND["calibrate"], "--", "x"),
+    ("experiment",),
+    ("experiment", "mean", "-h"),
+]
+
+
+@pytest.mark.parametrize("argv", _DISPATCH_CASES, ids=" ".join)
+def test_dispatch_matches_the_top_level_parse(capsysbinary, tmp_path, argv):
+    # the same exit code, stdout bytes and stderr bytes as parsing everything
+    # with the top-level parser, for commands, help, and usage errors
+    header, records = synthetic_census_rows(200, seed=0)
+    census = tmp_path / "synth.csv"
+    write_categorical_csv(census, header, records)
+    argv = [str(census) if arg in ("synth.csv", "x.csv") else arg for arg in argv]
+    expected = _outcome(_reference_main, argv, capsysbinary)
+    assert _outcome(main, argv, capsysbinary) == expected
+
+
+@pytest.mark.parametrize("name, argv", EVERY_COMMAND.items(), ids=EVERY_COMMAND.keys())
+def test_each_command_parsed_once_and_written_by_os_write(tmp_path, monkeypatch, name, argv):
+    # the command's own parser reads its arguments, and nothing else does;
+    # experiment's parser hands mean and hist to theirs
+    header, records = synthetic_census_rows(50, seed=3)
+    write_categorical_csv(tmp_path / "x.csv", header, records)
+    argv = [str(tmp_path / "x.csv") if arg == "x.csv" else arg for arg in argv]
+    parses, writes = [], []
+    real_parse, real_write = argparse.ArgumentParser.parse_known_args, os.write
+
+    def counting_parse(self, *args, **kwargs):
+        parses.append(self.prog)
+        return real_parse(self, *args, **kwargs)
+
+    def recording_write(fd, data):
+        writes.append(bytes(data))
+        return real_write(fd, data)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting_parse)
+    monkeypatch.setattr(os, "write", recording_write)
+    path = tmp_path / "out.csv"
+    assert main([*argv, "--output", str(path)]) == 0
+    assert len(parses) == (2 if name.startswith("experiment") else 1), parses
+    assert b"".join(writes) == path.read_bytes()
+
+
+def test_output_survives_partial_writes(capsys, tmp_path, monkeypatch):
+    # os.write takes at most 4096 bytes a call; a 30x30 table written over a
+    # longer file equals the table on stdout
+    eps_grid = ",".join(repr(10.0 ** (k / 10)) for k in range(-15, 15))
+    delta_grid = ",".join(repr(10.0 ** (-k / 2.5)) for k in range(3, 33))
+    argv = ("compare", "--eps-grid", eps_grid, "--delta-grid", delta_grid)
+    code, table, _ = run_cli(capsys, *argv)
+    assert code == 0
+    data = table.encode("utf-8")
+    assert len(data) > 300_000
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"x" * (len(data) + 100_000))
+    calls = []
+    real_write = os.write
+
+    def short_write(fd, buf):
+        calls.append(1)
+        return real_write(fd, buf[:4096])
+
+    monkeypatch.setattr(os, "write", short_write)
+    code, out, _ = run_cli(capsys, *argv, "--output", str(path))
+    assert (code, out) == (0, "")
+    assert path.read_bytes() == data
+    assert len(calls) == -(-len(data) // 4096)
