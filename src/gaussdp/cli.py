@@ -48,7 +48,7 @@ from .calib import (
     solve_pdp_opt,
 )
 from .compose import CompositionTerm, composed_dp_delta, composed_pdp_delta, effective_unit_sigma
-from .mech import histogram_experiment, mean_experiment, read_categorical_csv
+from .mech import histogram_experiment, mean_experiment, read_categorical_counts
 
 _CLASSICAL = (Mechanism.DWORK2006, Mechanism.DWORK2014)
 
@@ -200,8 +200,8 @@ def cmd_experiment(args) -> None:
             sensitivity=args.sens,
         )
     else:
-        _, records = read_categorical_csv(args.csv)
-        reports = histogram_experiment(records, budget, MECHANISM_ORDER, args.trials, args.seed)
+        _, counts = read_categorical_counts(args.csv)
+        reports = histogram_experiment(counts, budget, MECHANISM_ORDER, args.trials, args.seed)
     rows = [(r.mechanism, r.trials, r.metric, r.metric_stderr) for r in reports]
     _emit(["mechanism", "trials", "metric", "metric_stderr"], rows, args)
 

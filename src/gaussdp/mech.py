@@ -16,6 +16,10 @@ scoring that trial alone.  A report is a pure function of its arguments,
 and a mechanism's report depends neither on which other mechanisms share
 the run nor on the block size.
 
+A categorical CSV is read as bytes and its lines counted, each distinct
+line decoded and parsed once: ``read_categorical_counts`` gives the
+histogram experiment its records' counts without a list of records.
+
 numpy is imported inside each function that uses it, on first use, not at
 module load: ``gaussdp`` imports this module eagerly, and a process that
 only calibrates (``calibrate``, ``compare``, ``region``, ``profile``,
@@ -27,6 +31,7 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
@@ -200,31 +205,25 @@ def _shared_trials(
     # reduces along the last axis, row by row, so the block size never shows.
     errors = np.empty((len(sigmas), trials))
     rows = max(1, min(_BLOCK // truth.size, _BLOCK_TRIALS))
-    with np.errstate(over="ignore", invalid="ignore"):  # _report rejects inf and nan
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are rejected below
         for start in range(0, trials, rows):
             stop = min(start + rows, trials)
             keys = range(_TRIAL_STREAM_BASE + start, _TRIAL_STREAM_BASE + stop)
             z = standard_normal_rows(truth.size, seed, keys)
             for i, sigma in enumerate(sigmas):
                 errors[i, start:stop] = error(truth + sigma * z, truth)
-        return tuple(_report(*entry) for entry in zip(kinds, sigmas, errors))
-
-
-def _report(kind: Mechanism, sigma: float, errors: np.ndarray) -> ExperimentReport:
-    import numpy as np
-
-    trials = errors.size
-    stderr = float(np.std(errors, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    metric = float(np.mean(errors))
-    if not (math.isfinite(metric) and math.isfinite(stderr)):
-        raise ValueError(f"{kind} at sigma={sigma!r}: its error leaves the double range")
-    return ExperimentReport(
-        mechanism=kind,
-        sigma=sigma,
-        trials=trials,
-        metric=metric,
-        metric_stderr=stderr,
-    )
+        # every mechanism's row reduced at once, each bit-identical to
+        # reducing that row alone; ddof=1 over one trial would warn
+        metrics = errors.mean(axis=1)
+        stderrs = np.zeros_like(metrics)
+        if trials > 1:
+            stderrs = errors.std(axis=1, ddof=1) / math.sqrt(trials)
+    reports = []
+    for kind, sigma, metric, stderr in zip(kinds, sigmas, metrics.tolist(), stderrs.tolist()):
+        if not (math.isfinite(metric) and math.isfinite(stderr)):
+            raise ValueError(f"{kind} at sigma={sigma!r}: its error leaves the double range")
+        reports.append(ExperimentReport(kind, sigma, trials, metric, stderr))
+    return tuple(reports)
 
 
 def mean_experiment(
@@ -270,7 +269,7 @@ def mean_experiment(
 
 
 def histogram_experiment(
-    rows: Sequence[Sequence[str]],
+    rows: Sequence[Sequence[str]] | Mapping[Sequence[str], int],
     budget: PrivacyBudget,
     kinds: Iterable[Mechanism],
     trials: int,
@@ -278,7 +277,8 @@ def histogram_experiment(
 ) -> tuple[ExperimentReport, ...]:
     """Private histogram over the cross-product of observed categorical
     values; reports the MSE over cells of each mechanism in ``kinds``, in
-    that order.
+    that order.  ``rows`` is the records or their counts, as for
+    ``histogram_counts``; both give the same reports.
 
     Unbounded (add/remove) neighboring, so the count query has sensitivity 1.
     Cells that occur in no record still exist (and receive noise): the domain
@@ -298,18 +298,23 @@ def histogram_experiment(
 _MAX_HISTOGRAM_CELLS = 10_000_000
 
 
-def histogram_counts(rows: Sequence[Sequence[str]]) -> np.ndarray:
+def histogram_counts(rows: Sequence[Sequence[str]] | Mapping[Sequence[str], int]) -> np.ndarray:
     """Count vector over the cross-product of per-column observed values,
     in lexicographic cell order.
 
-    Whole rows are counted in one pass; the domains and the cell of each
-    distinct row come from the distinct rows alone.  Values are compared as
-    their ``str`` and must be hashable.
+    ``rows`` is the records, or a mapping from record to its count (each a
+    count >= 1), as ``read_categorical_counts`` returns.  Whole rows are
+    counted in one pass; the domains and the cell of each distinct row come
+    from the distinct rows alone.  Values are compared as their ``str`` and
+    must be hashable.
     """
     import numpy as np
 
+    pairs = rows.items() if isinstance(rows, Mapping) else Counter(map(tuple, rows)).items()
     tally: dict[tuple[str, ...], int] = {}
-    for row, n in Counter(map(tuple, rows)).items():
+    for row, n in pairs:
+        if type(n) is not int or n < 1:  # a Counter's always pass; a given mapping's may not
+            n = _check_count(f"count of {row!r}", n)
         key = tuple(map(str, row))
         tally[key] = tally.get(key, 0) + n
     if not tally:
@@ -338,50 +343,79 @@ def histogram_counts(rows: Sequence[Sequence[str]]) -> np.ndarray:
 # categorical record streams
 
 
+def _read_csv(path: str | Path) -> tuple[list, Counter, dict]:
+    """The CSV's lines in file order, header first, their ``Counter``, and
+    each distinct line's record (a tuple of strings): both readers' core.
+
+    The file is read once, as bytes, and split where ``csv.reader`` over a
+    ``newline=""`` file ends a line: at ``\\n``, ``\\r\\n`` or a lone
+    ``\\r``.  Each distinct line is decoded once.  Without a ``"`` no field
+    can span lines, so each line is one record and each distinct line is
+    parsed once; a file that holds a ``"`` is parsed whole, and its records
+    stand in for its lines.  A line that is not UTF-8 is the error raised
+    first, then a field over ``csv.field_size_limit()``, then the first
+    ragged record, by its number (the header is 1).
+    """
+    data = Path(path).read_bytes()
+    quoted = b'"' in data
+    # a quoted field keeps the line breaks inside it, so csv.reader gets them
+    lines = data.splitlines(keepends=quoted)
+    counts = Counter(lines)
+    try:
+        texts = [line.decode("utf-8") for line in counts]
+    except UnicodeDecodeError as exc:
+        # counts holds lines by first occurrence, so this is the first bad
+        # line; no line-end byte occurs inside a multi-byte character
+        raise ValueError(
+            f"{path}:{lines.index(exc.object) + 1}: not valid UTF-8 (byte "
+            f"{exc.object[exc.start]:#04x} at column {exc.start + 1}: {exc.reason})"
+        ) from None
+    try:
+        if quoted:
+            lines = list(map(tuple, csv.reader(map(dict(zip(counts, texts)).get, lines))))
+            counts = Counter(lines)
+            records = dict(zip(counts, counts))
+        else:
+            records = dict(zip(counts, map(tuple, csv.reader(texts)), strict=True))
+    except csv.Error as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    if not lines:
+        raise ValueError(f"{path}: empty CSV (missing header row)")
+    width = len(records[lines[0]])
+    if set(map(len, records.values())) != {width}:
+        lineno, record = next(
+            (i, record) for i, record in enumerate(map(records.get, lines), start=1)
+            if len(record) != width
+        )
+        raise ValueError(f"{path}:{lineno}: expected {width} fields, got {len(record)}")
+    if len(lines) == 1:
+        raise ValueError(f"{path}: no records after the header row")
+    return lines, counts, records
+
+
 def read_categorical_csv(path: str | Path) -> tuple[list[str], list[tuple[str, ...]]]:
     """Read a UTF-8, comma-delimited, header-row CSV of categorical strings.
 
-    Returns (header, rows); raises ValueError on empty, ragged or unparsable
-    input, naming the first ragged record by its number (the header is 1).
-
-    The result is that of ``csv.reader`` over the file, parsed faster where
-    records repeat.  Without a ``"`` no field can span lines, so each line
-    (ended by ``\\n``, ``\\r\\n`` or a lone ``\\r``) is one record: each
-    distinct line is parsed once, and equal records share one tuple.  Every
-    line is parsed instead where any line holds a ``"``, or where more than
-    half the lines are distinct, since there dedup only adds hashing.  The
-    whole file is parsed before any record is checked, so a field over
-    ``csv.field_size_limit()`` is the error raised even after a ragged record.
+    Returns (header, rows), as ``csv.reader`` over the file reads them;
+    equal records share one tuple.  Raises ValueError on empty, ragged,
+    non-UTF-8 or unparsable input, naming the first bad line or record.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    # if the first half + 1 lines are all distinct, more than half are, so a
-    # file of distinct records hashes only those
-    half = len(lines) // 2
-    distinct = dict.fromkeys(lines[: half + 1])
-    if len(distinct) <= half:
-        distinct |= dict.fromkeys(lines[half + 1 :])
-    try:
-        if len(distinct) > half or any('"' in line for line in distinct):
-            records = list(map(tuple, csv.reader(lines)))
-            checked = records
-        else:
-            parsed = dict(zip(distinct, map(tuple, csv.reader(distinct)), strict=True))
-            records = list(map(parsed.__getitem__, lines))
-            checked = parsed.values()
-    except csv.Error as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    if not records:
-        raise ValueError(f"{path}: empty CSV (missing header row)")
-    header, rows = list(records[0]), records[1:]
-    if set(map(len, checked)) != {len(header)}:
-        lineno, row = next(
-            (i, row) for i, row in enumerate(rows, start=2) if len(row) != len(header)
-        )
-        raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-    if not rows:
-        raise ValueError(f"{path}: no records after the header row")
-    return header, rows
+    lines, _, records = _read_csv(path)
+    header, *rows = map(records.__getitem__, lines)
+    return list(header), rows
+
+
+def read_categorical_counts(path: str | Path) -> tuple[list[str], dict[tuple[str, ...], int]]:
+    """The header and ``{record: count}`` of the CSV ``read_categorical_csv``
+    reads, with its errors: ``Counter(rows)`` of its rows, in order of first
+    occurrence, built without a list of rows.  The lines are counted, so
+    each distinct line is parsed once and each distinct record hashed once.
+    """
+    lines, counts, records = _read_csv(path)
+    counts[lines[0]] -= 1  # the header's own line
+    # a quote-free line is its record's fields joined by commas, so two
+    # distinct lines never parse to one record and no counts merge
+    return list(records[lines[0]]), {records[line]: n for line, n in counts.items() if n}
 
 
 # Census-like categorical columns for the synthetic histogram input.

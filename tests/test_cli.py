@@ -44,6 +44,7 @@ from gaussdp.compose import (
 from gaussdp.mech import (
     histogram_experiment,
     mean_experiment,
+    read_categorical_counts,
     read_categorical_csv,
     synthetic_census_rows,
     write_categorical_csv,
@@ -621,6 +622,8 @@ def test_json_rejects_non_finite_cells(capsys):
 
 
 def test_experiment_hist_reads_csv_once(capsys, tmp_path, monkeypatch):
+    # the command reads the file straight into record counts, once, and
+    # builds no list of records
     header, records = synthetic_census_rows(50, seed=3)
     path = tmp_path / "synth.csv"
     write_categorical_csv(path, header, records)
@@ -628,9 +631,14 @@ def test_experiment_hist_reads_csv_once(capsys, tmp_path, monkeypatch):
 
     def counting_read(csv_path):
         calls.append(csv_path)
-        return read_categorical_csv(csv_path)
+        return read_categorical_counts(csv_path)
 
-    monkeypatch.setattr(gaussdp.cli, "read_categorical_csv", counting_read)
+    def record_list_read(csv_path):
+        raise AssertionError("experiment hist read the records as a list")
+
+    monkeypatch.setattr(gaussdp.cli, "read_categorical_counts", counting_read)
+    for module in (gaussdp.cli, gaussdp.mech):
+        monkeypatch.setattr(module, "read_categorical_csv", record_list_read, raising=False)
     code, out, _ = run_cli(
         capsys, "experiment", "hist", "--csv", str(path), "--eps", "1",
         "--delta", "1e-5", "--trials", "2",
@@ -847,6 +855,23 @@ def test_experiment_hist_oversized_field_exits_2(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err == f"gaussdp: error: {path}: field larger than field limit (131072)\n"
     assert out_path.read_text(encoding="utf-8") == "old table\n"
+
+
+def test_experiment_hist_non_utf8_names_file_and_line(capsys, tmp_path):
+    # a byte that is not UTF-8 is a domain error naming the file and its
+    # line, not the offset inside a decoder's chunk
+    header, records = synthetic_census_rows(10_000, seed=1)
+    path = tmp_path / "latin1.csv"
+    write_categorical_csv(path, header, records)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[5001] = lines[5001].replace(b"e", b"\xe9", 1)
+    path.write_bytes(b"".join(lines))
+    code, out, err = run_cli(
+        capsys, "experiment", "hist", "--csv", str(path), "--eps", "1",
+        "--delta", "1e-5", "--trials", "2",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"gaussdp: error: {path}:5002: not valid UTF-8 (byte 0xe9 at column ")
 
 
 def _reference_main(argv):

@@ -2,9 +2,11 @@
 
 import csv
 import math
+import re
 import runpy
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +33,7 @@ from gaussdp.mech import (
     privacy_loss_sample,
     privacy_loss_tails,
     randomize,
+    read_categorical_counts,
     read_categorical_csv,
     sample_noise,
     synthetic_census_rows,
@@ -294,6 +297,29 @@ def test_histogram_counts_errors():
         histogram_counts([])
     with pytest.raises(ValueError):
         histogram_counts([("a", "x"), ("b",)])
+
+
+def test_histogram_counts_of_a_count_mapping():
+    # a mapping from record to count gives the count vector of its records
+    _, rows = synthetic_census_rows(2000, seed=8)
+    assert histogram_counts(Counter(rows)).tolist() == histogram_counts(rows).tolist()
+    # values compare as their str, so ("a", 1) and ("a", "1") share a cell
+    counts = {("a", 1): 2, ("b", "2"): 1, ("a", "1"): 3}
+    assert histogram_counts(counts).tolist() == [5.0, 0.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("count", [0, -3, 0.5, math.inf, -math.inf, math.nan])
+def test_histogram_counts_rejects_bad_count(count):
+    with pytest.raises(ValueError, match=r"^count of \('b', 'y'\) must be finite and positive"):
+        histogram_counts({("a", "x"): 2, ("b", "y"): count})
+
+
+def test_histogram_experiment_of_record_counts():
+    # README-sized: the same reports from the records and from their counts
+    _, rows = synthetic_census_rows(5000, 6)
+    budget = PrivacyBudget(0.1, 1e-6)
+    reports = histogram_experiment(rows, budget, MECHANISM_ORDER, 200, 6)
+    assert histogram_experiment(Counter(rows), budget, MECHANISM_ORDER, 200, 6) == reports
 
 
 def test_histogram_mse_magnitude():
@@ -579,9 +605,8 @@ def _read_outcome(read, path):
         return str(exc)
 
 
-# Texts without a quote repeat their records, so that at most half their
-# lines are distinct and each distinct line is parsed once; a quote anywhere
-# has every line parsed.
+# Texts without a quote have each distinct line parsed once, repeated or
+# not; a quote anywhere has the whole file parsed.
 _CSV_TEXTS = {
     "crlf": "a,b\r\n" + "x,1\r\ny,2\r\n" * 3,
     "lf": "a,b\n" + "x,1\ny,2\n" * 3,
@@ -609,6 +634,62 @@ def test_csv_reader_matches_record_loop(tmp_path, text):
     path = tmp_path / "records.csv"
     path.write_bytes(text.encode("utf-8"))
     assert _read_outcome(read_categorical_csv, path) == _read_outcome(_record_loop_read, path)
+
+
+def _census_text(n_rows):
+    header, rows = synthetic_census_rows(n_rows, seed=24)
+    return "".join(",".join(row) + "\r\n" for row in [header, *rows])
+
+
+# Counts of the texts above, and of: a header line repeated as a record,
+# separators that split a str but not a line (U+0085, U+2028 and U+2029,
+# with and without a quote) and a 10,000-row census.
+_COUNT_TEXTS = {
+    **_CSV_TEXTS,
+    "header-as-record": "a,b\n" + "x,1\na,b\n" * 3,
+    "header-as-only-record": "a,b\na,b\n",
+    "unicode-separators": "a,b\n" + "x\x85y,1\nz\u2028w,2\u2029\n" * 3,
+    "unicode-separators-quoted": 'a,b\n' + '"x\x85y",1\nz\u2028w,2\n' * 3,
+}
+
+
+@pytest.mark.parametrize(
+    "name", [*_COUNT_TEXTS, "census-10000"], ids=lambda name: name,
+)
+def test_csv_counts_reader_matches_record_loop(tmp_path, name):
+    path = tmp_path / "records.csv"
+    text = _COUNT_TEXTS[name] if name in _COUNT_TEXTS else _census_text(10_000)
+    path.write_bytes(text.encode("utf-8"))
+    want = _read_outcome(_record_loop_read, path)
+    if not isinstance(want, str):
+        header, rows = want
+        want = header, Counter(rows)
+    got = _read_outcome(read_categorical_counts, path)
+    assert got == want
+    assert _read_outcome(read_categorical_csv, path) == _read_outcome(_record_loop_read, path)
+    if not isinstance(got, str):
+        assert all(type(n) is int and n >= 1 for n in got[1].values())
+
+
+_NOT_UTF8 = {
+    # (bytes, line of the first bad byte, as bytes.splitlines counts)
+    "lf": (b"a,b\nx,1\ny\xe9,2\nx\xff,1\n", 3),
+    "crlf-repeated": (b"a,b\r\n" + b"x,1\r\n" * 3 + b"y\xe9,2\r\n" * 2, 5),
+    "lone-cr": (b"a,b\rx,1\rx,1\ry\xc3,2\r", 4),
+    "mixed-endings": (b"a,b\r\nx,1\ry,2\nz,\x80\n", 4),
+    "in-header": (b"\xe9,b\nx,1\n", 1),
+    "quoted-line-break": (b'a,b\n"x\ny",1\nz\xe9,2\n', 4),
+    "before-ragged": (b"a,b\nx\nz\xe9,2\n", 3),
+}
+
+
+@pytest.mark.parametrize("data, lineno", _NOT_UTF8.values(), ids=_NOT_UTF8.keys())
+@pytest.mark.parametrize("read", [read_categorical_csv, read_categorical_counts])
+def test_csv_not_utf8_names_its_line(tmp_path, read, data, lineno):
+    path = tmp_path / "records.csv"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{lineno}: not valid UTF-8 "):
+        read(path)
 
 
 def test_synthetic_rows_deterministic():
