@@ -114,9 +114,12 @@ def _check_range(name: str, value: float, upper: float = math.inf, zero: bool = 
 
 
 def _check_count(name: str, value: float, zero: bool = False) -> int:
-    """int(value), a count >= 1 (>= 0 with ``zero``), checked before int(),
-    which fails on inf and nan, and after it, which truncates 0.5 to 0."""
-    return _check_range(name, int(_check_range(name, value, zero=zero)), zero=zero)
+    """int(value), a count >= 1 (>= 0 with ``zero``); one with a fractional
+    part, which int() would truncate, is refused as given."""
+    count = int(_check_range(name, value, zero=zero))
+    if count != value:
+        raise ValueError(f"{name} must be an integer >= {0 if zero else 1}, got {value!r}")
+    return count
 
 
 @dataclass(frozen=True, init=False)
@@ -504,15 +507,15 @@ def _mech1_root(eps: float, delta: float) -> float:
             return inverfc(arg)
     # ratio tends to 1 as eps -> 0, and 1 - ratio rounds to 0 (or arg out
     # of inverfc's domain) once it is below ratio's rounding error: at every
-    # delta <= 1e-20 tried, for eps below about 3e-32, e.g. (1e-33, 1e-20),
-    # (1e-40, 1e-50) and (1e-35, 5e-324); never at delta >= 1e-12.  Fall
-    # back to the coarser elementary bound (mechanism 2's), which is a
-    # strict upper bound on this root, though a loose one there.
-    if delta < 0.5:
-        return inverfc_seed(2.0 * delta)
-    raise ArithmeticError(
-        f"mechanism-1 root not computable at eps={eps!r}, delta={delta!r}"
-    )
+    # delta <= 1e-20 tried, for eps below about 3e-32; never at delta >=
+    # 1e-12.  Fall back to mechanism 2's elementary bound, a strict upper
+    # bound on this root, though a loose one there.  No delta >= 0.5 gets
+    # here: with E = e^eps erfc(sqrt(eps)) and t = 2 delta + E < 2,
+    # e^eps erfc(sqrt(u^2 + eps)) <= E, so ratio <= E/t and 1 - ratio - delta
+    # >= delta (2 - t) / t > 0, i.e. 0 < 2 delta / (1 - ratio) < 2.  Where
+    # 2 - t is only a few ulps, u = inverfc(t) is large and negative, so
+    # ratio is far below E/t.
+    return inverfc_seed(2.0 * delta)
 
 
 def sigma_mech1(budget: PrivacyBudget, sens: Sensitivity) -> NoiseScale:

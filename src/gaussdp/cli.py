@@ -64,11 +64,9 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _parse_term(text: str) -> tuple[float, float]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"term must look like DELTA:SIGMA, got {text!r}")
     try:
-        return float(parts[0]), float(parts[1])
+        sens, sigma = text.split(":")  # not two parts: a ValueError too
+        return float(sens), float(sigma)
     except ValueError:
         raise argparse.ArgumentTypeError(f"term must look like DELTA:SIGMA, got {text!r}")
 

@@ -34,7 +34,9 @@ def effective_unit_sigma(terms: Iterable[CompositionTerm]) -> float:
     """sigma_star = (sum Delta_i^2 / sigma_i^2)^(-1/2): the unit-sensitivity
     noise whose single-mechanism privacy equals the composition's.
 
-    A sigma_star outside the normal double range raises a ValueError.
+    The ratios Delta_i / sigma_i are scaled by one power of 2 and their
+    squares summed exactly, so the terms' order never matters.  A
+    sigma_star outside the normal double range raises a ValueError.
     """
     terms = list(terms)
     if not terms:
@@ -42,23 +44,16 @@ def effective_unit_sigma(terms: Iterable[CompositionTerm]) -> float:
     live = [term for term in terms if term.sensitivity.l2 > 0.0]
     if not live:
         raise ValueError("composition requires at least one positive-sensitivity term")
-    ratios = [term.sensitivity.l2 / term.sigma for term in live]
-    # from 2^-511 to 2^511 a ratio squares to a normal double
-    if all(2.0 ** -511 <= ratio <= 2.0 ** 511 for ratio in ratios):
-        try:
-            # ratio * ratio is the correctly rounded square (libm's pow may
-            # miss it by an ulp), and fsum makes the sum exact, hence
-            # invariant under term reordering
-            return 1.0 / math.sqrt(math.fsum(ratio * ratio for ratio in ratios))
-        except OverflowError:  # the sum of the squares
-            pass
-    # Else each ratio, q 2^k with q in (1/2, 2), enters the norm scaled by
-    # 2^-top, the largest 2^k, and sigma_star = 2^-top / norm.
+    # Each ratio, q 2^k with q in (1/2, 2), is scaled exactly by 2^-top, the
+    # largest 2^k (one scaled below the normals squares to 0 anyway), so no
+    # square overflows and sigma_star = 2^-top / norm.  r * r is correctly
+    # rounded (libm's pow may miss by an ulp), and fsum sums exactly, hence
+    # in any order.
     parts = [(math.frexp(term.sensitivity.l2), math.frexp(term.sigma)) for term in live]
     top = max(e_l2 - e_sigma for (_, e_l2), (_, e_sigma) in parts)
-    scaled = (math.ldexp(m_l2 / m_sigma, e_l2 - e_sigma - top)
-              for (m_l2, e_l2), (m_sigma, e_sigma) in parts)
-    mantissa, exponent = math.frexp(1.0 / math.hypot(*scaled))
+    scaled = [math.ldexp(m_l2 / m_sigma, e_l2 - e_sigma - top)
+              for (m_l2, e_l2), (m_sigma, e_sigma) in parts]
+    mantissa, exponent = math.frexp(1.0 / math.sqrt(math.fsum(r * r for r in scaled)))
     exponent -= top
     if not -1021 <= exponent <= 1024:  # frexp's exponents of the normal doubles
         size = "small" if exponent < -1021 else "large"

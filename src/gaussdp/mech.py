@@ -8,13 +8,13 @@ An experiment runs a list of mechanisms at once: it builds its data once and
 draws each trial's standard-normal vector once, from a substream keyed by
 (seed, trial index), and every mechanism scales that same vector by its own
 sigma (common random numbers).  Consecutive trials form blocks: a block's
-vectors are drawn in one call (``rng.standard_normal_rows`` on the seed and
-the block's trial keys, which builds no generator per trial, each row
-bit-identical to that trial's own draw), and each mechanism scores a whole
-block in one array expression whose error, per row, is bit-identical to
-scoring that trial alone.  A report is a pure function of its arguments,
-and a mechanism's report depends neither on which other mechanisms share
-the run nor on the block size.
+vectors come from one ``rng.standard_normal_rows`` call on the seed and its
+trial keys, which builds no generator, each row bit-identical to that
+trial's own draw.  Each mechanism scores a whole block in one array
+expression whose error, per row, is bit-identical to scoring that trial
+alone.  A report is a pure function of its arguments, and a mechanism's
+report depends neither on which other mechanisms share the run nor on the
+block size.
 
 A categorical CSV is read as bytes and its lines counted, each distinct
 line decoded and parsed once: ``read_categorical_counts`` gives the
@@ -52,14 +52,10 @@ _TRIAL_STREAM_BASE = 1
 # the most values in one block of stacked trial draws (_shared_trials): 200
 # trials of the README's experiments (10 dimensions, 48 cells) fit in one,
 # each of a block's scoring temporaries stays within a quarter of a
-# megabyte, and the uniforms drawn for it within about half of one
+# megabyte, and the uniforms drawn for it within about half of one.  A trial
+# counts as at least 64 values, since it draws at least 64 uniforms (32
+# pairs), which at few dimensions outweigh its values
 _BLOCK = 1 << 15
-# the most trials in one block: each draws at least 64 uniforms and holds
-# its derived 128-bit state, and the polar pass makes several temporaries of
-# each, which at few dimensions outweigh its values many times over (at one
-# dimension and 40,000 trials, the run's traced peak is 3.5 MB with this cap
-# and 75 MB without it)
-_BLOCK_TRIALS = 1 << 8
 
 
 @dataclass(eq=False)
@@ -199,12 +195,12 @@ def _shared_trials(
 
     # Each trial draws its own standard-normal vector from its own
     # substream, as a single-trial run would; consecutive trials' draws are
-    # made together as the rows of a block of at most _BLOCK values and
-    # _BLOCK_TRIALS rows (one row if a draw alone is larger), and every
+    # made together as the rows of a block of at most _BLOCK values, a row
+    # counting as at least 64 (one row if a draw alone is larger), and every
     # sigma scores the whole block in one array expression.  ``error``
     # reduces along the last axis, row by row, so the block size never shows.
     errors = np.empty((len(sigmas), trials))
-    rows = max(1, min(_BLOCK // truth.size, _BLOCK_TRIALS))
+    rows = max(1, _BLOCK // max(truth.size, 64))
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are rejected below
         for start in range(0, trials, rows):
             stop = min(start + rows, trials)

@@ -15,8 +15,9 @@ builds no generator per row: it derives every row's PCG64 state from
 (seed, key) with SeedSequence's hash, the seed's part once and the keys'
 part over whole arrays, and draws each row's first batch of uniforms from
 one reused PCG64 set to that state.  The stacked batches become normals in
-one pass, and only a row that its batch leaves short draws again, alone.
-The tests check the derived states against numpy's own.
+one pass; a row that its batch leaves short draws on from the same PCG64,
+set to its state again and advanced past that batch.  The tests check the
+derived states against numpy's own.
 
 numpy is imported inside each function, on first use: ``gaussdp`` imports
 this module eagerly (through ``mech``), and a process that only calibrates
@@ -85,8 +86,7 @@ def standard_normal_rows(n: int, seed: int, keys: Sequence[int]) -> np.ndarray:
     import numpy as np
 
     n = _check_count("n", n, zero=True)
-    seed = _check_seed(seed)
-    root = np.random.SeedSequence(seed)
+    root = np.random.SeedSequence(_check_seed(seed))
     states = _pcg64_states(root, keys)
     if n == 0:
         return np.empty((len(states), 0))
@@ -94,15 +94,20 @@ def standard_normal_rows(n: int, seed: int, keys: Sequence[int]) -> np.ndarray:
     uniforms = np.empty((len(states), pairs, 2))
     bits = np.random.PCG64(root)
     gen = np.random.Generator(bits)
-    for row, (state, inc) in zip(uniforms, states):
+
+    def at_start(t: int) -> np.random.Generator:
+        state, inc = states[t]
         bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                       "has_uint32": 0, "uinteger": 0}
-        gen.random(out=row)
+        return gen
+
+    for t, row in enumerate(uniforms):
+        at_start(t).random(out=row)
 
     def after_first_batch(t: int) -> np.random.Generator:
-        alone = generator(seed, keys[t])
-        alone.random((pairs, 2))
-        return alone
+        at_start(t)
+        bits.advance(2 * pairs)  # one 64-bit output per double of the batch
+        return gen
 
     return _normal_rows(n, uniforms, after_first_batch)
 
@@ -146,12 +151,12 @@ def _normal_rows(
     n: int, uniforms: np.ndarray, refill: Callable[[int], np.random.Generator]
 ) -> np.ndarray:
     # uniforms (rows, _batch_pairs(n), 2) holds each row's first batch, and
-    # refill(t) gives row t's generator placed just after it
+    # refill(t) gives a generator on row t's substream, placed just after it
     import numpy as np
 
     z, got = _polar(uniforms)
     # each row's first n values, read past its end where it fell short;
-    # those places are then filled from its own generator
+    # those places are then filled from its own substream
     start = np.cumsum(got) - got
     out = z.take(start[:, None] + np.arange(n), mode="clip")
     for t in np.flatnonzero(got < n):

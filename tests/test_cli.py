@@ -546,6 +546,29 @@ def test_compose_malformed_term_exits_2(capsys):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["compare", "--eps-grid", "a,b", "--delta-grid", "1e-5"],
+         "argument --eps-grid: not a comma-separated float list: 'a,b'"),
+        (["compare", "--eps-grid", ",", "--delta-grid", "1e-5"],
+         "argument --eps-grid: grid must contain at least one value"),
+        (["compose", "--term", "1:x", "--eps", "1"],
+         "argument --term: term must look like DELTA:SIGMA, got '1:x'"),
+        (["compose", "--term", "1:2:3", "--eps", "1"],
+         "argument --term: term must look like DELTA:SIGMA, got '1:2:3'"),
+    ],
+    ids=["not-floats", "empty-grid", "term-not-floats", "term-of-three"],
+)
+def test_malformed_list_arguments_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: {message}\n")
+
+
 def test_compose_squares_outside_the_double_range(capsys):
     assert run_cli(capsys, "compose", "--term", "1:1e-300", "--eps", "1") == (
         0, "sigma_star,dp_delta,pdp_delta\n1e-300,1.0,1.0\n", "",

@@ -223,6 +223,29 @@ def test_permutation_invariance(order):
     assert effective_unit_sigma(shuffled) == effective_unit_sigma(base)
 
 
+# ratios Delta / sigma from 2^-1000 to 2^700, beyond the 2^+-511 whose
+# squares are normal doubles, among ordinary ones; sigma_star stays normal
+WIDE_TERMS = [(1e200, 1e-20), (1.0, 2.0), (1e-160, 1e150), (3.0, 1e-140), (0.5, 1.5), (7.0, 7.0)]
+
+
+@given(st.permutations(range(len(WIDE_TERMS))))
+def test_permutation_invariance_beyond_the_square_range(order):
+    base = [term(*pair) for pair in WIDE_TERMS]
+    star = effective_unit_sigma(base)
+    assert star == 1e-220  # the 1e200 / 1e-20 term dominates every other
+    assert effective_unit_sigma([base[i] for i in order]) == star
+    # two ratios of 2^600 and 2^-600 beside 1: the first sets sigma_star alone
+    pair = [term(2.0**600, 1.0), term(1.0, 1.0), term(1.0, 2.0**600)]
+    for shuffled in (pair, pair[::-1], pair[1:] + pair[:1]):
+        assert effective_unit_sigma(shuffled) == 2.0**-600
+    # squares 1 and 64 of 2^-54: summed from the 1, each 2^-54 rounds away,
+    # and the sum is exact only if every square counts, in either order
+    for scale in (1.0, 2.0**600):
+        many = [term(scale, 1.0)] + [term(scale, 2.0**27)] * 64
+        want = 1.0 / scale / math.sqrt(1.0 + 2.0**-48)
+        assert effective_unit_sigma(many) == effective_unit_sigma(many[::-1]) == want
+
+
 @given(
     st.floats(min_value=0.1, max_value=5.0),
     st.floats(min_value=0.1, max_value=5.0),

@@ -308,9 +308,28 @@ def test_histogram_counts_of_a_count_mapping():
     assert histogram_counts(counts).tolist() == [5.0, 0.0, 0.0, 1.0]
 
 
+def test_histogram_counts_refuses_a_domain_too_large_before_allocating(monkeypatch):
+    # 8 records whose 8 columns all differ span 8^8 cells, over the limit
+    rows = [tuple(f"{i}" for _ in range(8)) for i in range(8)]
+    monkeypatch.setattr(np, "zeros", lambda *args: pytest.fail("allocated"))
+    with pytest.raises(ValueError, match=(
+        r"^histogram domain has 16777216 cells \(cross-product of observed values\); "
+        r"limit is 10000000$"
+    )):
+        histogram_counts(rows)
+
+
+@pytest.mark.parametrize("values", [[[1.0]], [], np.empty((0, 3))], ids=["2-d", "empty", "0x3"])
+def test_query_answer_must_be_a_non_empty_vector(values):
+    with pytest.raises(ValueError, match=r"^QueryAnswer.values must be a non-empty 1-d vector$"):
+        QueryAnswer(values)
+
+
 @pytest.mark.parametrize("count", [0, -3, 0.5, math.inf, -math.inf, math.nan])
 def test_histogram_counts_rejects_bad_count(count):
-    with pytest.raises(ValueError, match=r"^count of \('b', 'y'\) must be finite and positive"):
+    # a fraction is refused as given, not truncated to the count below it
+    bound = "an integer >= 1" if count == 0.5 else "finite and positive"
+    with pytest.raises(ValueError, match=rf"^count of \('b', 'y'\) must be {bound}, got {count!r}$"):
         histogram_counts({("a", "x"): 2, ("b", "y"): count})
 
 
@@ -352,8 +371,8 @@ def test_histogram_reproducible():
 
 
 def _counting_generator(monkeypatch):
-    # the generators built by the experiments, and by the block draw for a
-    # row that its first batch leaves short
+    # the generators built by the experiments, and any built by the block
+    # draw, which should build none
     calls = []
     real = gaussdp.rng.generator
 
@@ -403,8 +422,8 @@ def test_histogram_experiment_shared_run_matches_single_runs():
 def test_shared_run_rows_match_one_generator_draws(monkeypatch):
     # at d = 700 the first batch of trials 11 and 37 (seed 134) falls short;
     # every trial's row is still the one-generator loop's draw from its own
-    # substream, and the only generators built are the dataset's and one
-    # for each short row to draw on from
+    # substream, and the only generators built are the datasets', since a
+    # short row draws on from the block's own PCG64
     _, rows = synthetic_census_rows(100, seed=1)
     budget = PrivacyBudget(0.5, 1e-4)
     calls = _counting_generator(monkeypatch)
@@ -412,7 +431,7 @@ def test_shared_run_rows_match_one_generator_draws(monkeypatch):
     histogram_experiment(rows, budget, MECHANISM_ORDER, trials=7, seed=2)
     mean_experiment(50, 3, budget, MECHANISM_ORDER, trials=7, seed=2)
     mean_experiment(50, 700, budget, MECHANISM_ORDER, trials=40, seed=134)
-    assert calls == [(2, 0), (134, 0), (134, 12), (134, 38)]
+    assert calls == [(2, 0), (134, 0)]
     seeds = [2] * 14 + [134] * 40
     assert [key for key, _ in drawn] == [*range(1, 8), *range(1, 8), *range(1, 41)]
     for seed, (key, row) in zip(seeds, drawn):
@@ -452,19 +471,32 @@ def _experiment_runs():
 @pytest.mark.parametrize("block", ["one value", "three rows", "whole run", "three trials"])
 def test_experiment_reports_do_not_depend_on_the_block(monkeypatch, block):
     # 7 trials scored one row at a time, in blocks of 3 + 3 + 1 rows (capped
-    # by values or by trials), and in one block of all 7 give the default
-    # block's reports exactly
+    # by values, or by the 64 values a trial counts as at least), and in one
+    # block of all 7 give the default block's reports exactly
     for size, run in _experiment_runs():
         default = run()
         name, value = {
             "one value": ("_BLOCK", 1),
             "three rows": ("_BLOCK", 3 * size),
             "whole run": ("_BLOCK", 7 * size + 1),
-            "three trials": ("_BLOCK_TRIALS", 3),
+            "three trials": ("_BLOCK", 3 * 64),
         }[block]
         with monkeypatch.context() as m:
             m.setattr(gaussdp.mech, name, value)
             assert run() == default
+
+
+def test_a_trial_counts_as_at_least_64_values_in_a_block(monkeypatch):
+    # at one dimension a trial draws 64 uniforms for its one value, so a
+    # block holds _BLOCK // 64 trials, not _BLOCK
+    blocks = []
+    real = gaussdp.mech.standard_normal_rows
+    monkeypatch.setattr(gaussdp.mech, "standard_normal_rows",
+                        lambda n, seed, keys: blocks.append((n, len(keys))) or real(n, seed, keys))
+    budget = PrivacyBudget(0.5, 1e-4)
+    mean_experiment(50, 1, budget, (Mechanism.MECH1,), trials=1100, seed=3)
+    mean_experiment(50, 700, budget, (Mechanism.MECH1,), trials=100, seed=3)
+    assert blocks == [(1, 512), (1, 512), (1, 76), (700, 46), (700, 46), (700, 8)]
 
 
 def test_experiment_reports_pinned():

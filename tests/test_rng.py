@@ -5,6 +5,7 @@ derives against numpy's own SeedSequence and PCG64."""
 import numpy as np
 import pytest
 
+import gaussdp.rng
 from gaussdp.rng import _pcg64_states, generator, standard_normal, standard_normal_rows
 
 # (seed, key) whose first batch of 482 pairs holds fewer than the 350
@@ -52,6 +53,27 @@ def test_rows_equal_one_generator_draws(n):
         # one generator is left where the loop leaves it
         reference_standard_normal(n, alone)
         assert gen.random() == alone.random()
+
+
+def test_short_rows_build_no_generator(monkeypatch):
+    # a short row continues on the block's one PCG64, set to its state again
+    # and advanced past its first batch: the block builds one PCG64 and one
+    # Generator, whatever its short rows, and never calls generator()
+    seed, short = SHORT
+    keys = [short, 1, short, 4]
+    want = [reference_standard_normal(700, generator(seed, key)).tobytes() for key in keys]
+    made = []
+
+    def counting(name):
+        real = getattr(np.random, name)
+        monkeypatch.setattr(np.random, name, lambda *args: made.append(name) or real(*args))
+
+    counting("PCG64")
+    counting("Generator")
+    monkeypatch.setattr(gaussdp.rng, "generator", lambda *args: pytest.fail("generator called"))
+    rows = standard_normal_rows(700, seed, keys)
+    assert [row.tobytes() for row in rows] == want
+    assert made == ["PCG64", "Generator"]
 
 
 @pytest.mark.parametrize("seed", SEEDS + [6, 134, 2**40 + 3, 3**200])

@@ -3,6 +3,7 @@ names the argument and the bound it broke."""
 
 import math
 
+import numpy as np
 import pytest
 
 from gaussdp.calib import (
@@ -18,6 +19,7 @@ from gaussdp.calib import (
 )
 from gaussdp.cli import main
 from gaussdp.mech import (
+    histogram_counts,
     histogram_experiment,
     mean_experiment,
     privacy_loss_tails,
@@ -136,10 +138,44 @@ def test_huge_seeds_are_seeds():
 
 @pytest.mark.parametrize("entry", list(COUNTS))
 def test_fractional_count_below_one_is_not_the_count_zero(entry):
-    # int() truncates 0.5 to 0, which would divide by zero in mean_experiment
+    # int() truncates 0.5 to 0, which would divide by zero in mean_experiment;
+    # the message names the value as given
     name, call = COUNTS[entry]
-    with pytest.raises(ValueError, match=rf"^{name} must be finite and positive, got 0$"):
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer >= 1, got 0.5$"):
         call(0.5)
+
+
+@pytest.mark.parametrize("value", [1.5, 2.5, 2.9999999999999996, 1e15 + 0.5], ids=repr)
+@pytest.mark.parametrize("entry", [*COUNTS, "standard_normal-n", "standard_normal_rows-n"])
+def test_fractional_count_is_refused_as_given(entry, value):
+    # int() would truncate 2.5 to 2 and run with it
+    name, call, bound = ENTRY_POINTS[entry]
+    lowest = 0 if bound == NON_NEGATIVE else 1
+    with pytest.raises(ValueError) as excinfo:
+        call(value)
+    assert str(excinfo.value) == f"{name} must be an integer >= {lowest}, got {value!r}"
+
+
+def test_whole_counts_of_any_type_are_counts():
+    values = sample_noise(3, 1.0, 0).values.tobytes()
+    assert sample_noise(3.0, 1.0, 0).values.tobytes() == values
+    assert sample_noise(np.int64(3), 1.0, 0).values.tobytes() == values
+    assert standard_normal(np.uint8(0), generator(0)).size == 0
+    assert mean_experiment(10, 2, BUDGET, MECHANISM_ORDER, 2.0, 0) == (
+        mean_experiment(10, 2, BUDGET, MECHANISM_ORDER, np.int32(2), 0))
+    assert mean_experiment(10, 2, BUDGET, MECHANISM_ORDER, 2, 0)[0].trials == 2
+
+
+def test_fractional_counts_are_not_truncated():
+    # each of these used to run on the truncated count
+    with pytest.raises(ValueError, match=r"^count of \('a',\) must be an integer >= 1, got 1.5$"):
+        histogram_counts({("a",): 1.5, ("b",): 2.9})
+    with pytest.raises(ValueError, match=r"^trials must be an integer >= 1, got 2.5$"):
+        mean_experiment(10, 2, BUDGET, MECHANISM_ORDER, 2.5, 0)
+    with pytest.raises(ValueError, match=r"^dim must be an integer >= 1, got 2.7$"):
+        sample_noise(2.7, 1.0, 0)
+    with pytest.raises(ValueError, match=r"^trials must be an integer >= 1, got 0.5$"):
+        mean_experiment(10, 2, BUDGET, MECHANISM_ORDER, 0.5, 0)
 
 
 # former ConvergenceErrors at the corners of eps = 10^-k (k = 8..323) by
