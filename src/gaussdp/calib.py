@@ -41,6 +41,11 @@ Conventions used throughout:
     enough to the exact ones for rounding to matter.  Mechanisms 2, 4 and
     the cdp route sit far above theirs and never miss on the tests' domain
     sweep; a profile would double their cost, so they skip it.
+  * ``calibrate`` and ``compare_grid`` share one table of nine entries.
+    Each entry looks its function up by module attribute when called, so a
+    rebound name reroutes both.  The cdp route's function lives in
+    ``relations``, which imports from this module, so ``relations`` is
+    imported once, at the end of this module, after every name it takes.
 """
 
 from __future__ import annotations
@@ -100,17 +105,31 @@ class BracketError(RuntimeError):
     """No sign change of the function between the ends of a root bracket."""
 
 
+def _shown(value) -> str:
+    """repr(value) for an error message; an int too long for repr (over
+    sys.get_int_max_str_digits() digits) is named by its size instead."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"{'a negative' if value < 0 else 'an'} int of {int(value).bit_length()} bits"
+
+
 def _check_range(name: str, value: float, upper: float = math.inf, zero: bool = False) -> float:
     """Return value if it is finite and in (0, upper), or in [0, inf) with
     ``zero``, else raise a ValueError that names the bound.  Every range and
-    count (through ``_check_count``) of the library is checked here."""
-    if not (math.isfinite(value) and (0.0 < value or zero and value == 0.0) and value < upper):
-        if upper < math.inf:
-            bound = f"in (0, {upper:g})"
-        else:
-            bound = "finite and >= 0" if zero else "finite and positive"
-        raise ValueError(f"{name} must be {bound}, got {value!r}")
-    return value
+    count (through ``_check_count``) of the library is checked here, before
+    any float() of the value: an int past the double range is refused as
+    given."""
+    try:
+        if math.isfinite(value) and (0.0 < value or zero and value == 0.0) and value < upper:
+            return value
+    except OverflowError:  # math.isfinite of an int too large for a double
+        pass
+    if upper < math.inf:
+        bound = f"in (0, {upper:g})"
+    else:
+        bound = "finite and >= 0" if zero else "finite and positive"
+    raise ValueError(f"{name} must be {bound}, got {_shown(value)}")
 
 
 def _check_count(name: str, value: float, zero: bool = False) -> int:
@@ -118,7 +137,7 @@ def _check_count(name: str, value: float, zero: bool = False) -> int:
     part, which int() would truncate, is refused as given."""
     count = int(_check_range(name, value, zero=zero))
     if count != value:
-        raise ValueError(f"{name} must be an integer >= {0 if zero else 1}, got {value!r}")
+        raise ValueError(f"{name} must be an integer >= {0 if zero else 1}, got {_shown(value)}")
     return count
 
 
@@ -158,7 +177,7 @@ class NoiseScale:
         self.__dict__["kind"] = kind
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CalibrationResult:
     """Solver output: the noise scale plus root-finding telemetry.
 
@@ -169,6 +188,11 @@ class CalibrationResult:
     delta) on the solver's own profile, so never positive.  ``noise.sigma``
     passes that profile, so it may sit a few ulps above
     ``_sigma_from_root(root)``.
+
+    Built like the value types: its own __init__ stores each field straight
+    into the instance dict, where the frozen dataclass's generated one
+    would pay an object.__setattr__ per field.  The solvers fill every
+    field, so nothing is checked.
     """
 
     noise: NoiseScale
@@ -177,6 +201,23 @@ class CalibrationResult:
     bracket_high: float
     iterations: int
     residual: float
+
+    def __init__(
+        self,
+        noise: NoiseScale,
+        root: float,
+        bracket_low: float,
+        bracket_high: float,
+        iterations: int,
+        residual: float,
+    ) -> None:
+        fields = self.__dict__
+        fields["noise"] = noise
+        fields["root"] = root
+        fields["bracket_low"] = bracket_low
+        fields["bracket_high"] = bracket_high
+        fields["iterations"] = iterations
+        fields["residual"] = residual
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +491,7 @@ def _pdp_delta_unit(sigma_over_l2: float, eps: float) -> float:
 
 
 def _check_profile_args(sigma: NoiseScale, epsilon: float, sens: Sensitivity) -> float:
-    epsilon = _check_range("epsilon", float(epsilon))
+    epsilon = float(_check_range("epsilon", epsilon))
     if sigma.sigma <= 0.0 or sens.l2 <= 0.0:
         _check_range("sigma", sigma.sigma)
         _check_range("l2 sensitivity", sens.l2)
@@ -568,7 +609,7 @@ def dp_opt_zero_eps(delta: float, sens: Sensitivity) -> NoiseScale:
     sensitivity follow ``_noise``: Delta = 0 gives sigma 0, and a sigma
     below the normal double range at Delta > 0 names the sensitivity.
     """
-    delta = _check_range("delta", float(delta), 1.0)
+    delta = float(_check_range("delta", delta, 1.0))
     sigma = sens.l2 / (2.0 * _SQRT2 * inverf(delta))
     if sens.l2 > 0.0 and sigma < _FLOAT_MIN:
         raise ValueError(
@@ -617,7 +658,7 @@ def solve_dp_opt(
     on |a| looser than inverfc of the same argument; capping that argument
     at _BELOW_ONE, as its rounding needs, only loosens the bound.
     """
-    tol = _check_range("tol", float(tol))
+    tol = float(_check_range("tol", tol))
     eps, delta = budget.epsilon, budget.delta
     target = 2.0 * delta
     at_zero = _dp_value_slope(0.0, eps)
@@ -653,7 +694,7 @@ def solve_pdp_opt(
     inverfc(delta)) and [inverfc(2 delta), inverfc_seed(delta)] otherwise,
     where the root may be negative.
     """
-    tol = _check_range("tol", float(tol))
+    tol = float(_check_range("tol", tol))
     eps, delta = budget.epsilon, budget.delta
     target = 2.0 * delta
     hi = inverfc_seed(delta)
@@ -698,8 +739,8 @@ def failure_threshold(f_of_delta: float, delta: float) -> float:
     can miss by more, about tol / (200 G).  Where 2 F^2 is not a normal
     double a ValueError names F(delta).
     """
-    f = _check_range("F(delta)", float(f_of_delta))
-    delta = _check_range("delta", float(delta), 1.0)
+    f = float(_check_range("F(delta)", f_of_delta))
+    delta = float(_check_range("delta", delta, 1.0))
     eps0, scale = 2.0 * f * f, 2.0 * _SQRT2 * f  # eps = eps0 - scale * a
     if not _FLOAT_MIN <= eps0 < math.inf:
         raise ValueError(f"F(delta) must have 2 F(delta)^2 a normal double, got {f!r}")
@@ -731,14 +772,9 @@ def failure_threshold(f_of_delta: float, delta: float) -> float:
 # dispatcher
 
 
-def _cdp_route(budget: PrivacyBudget, sens: Sensitivity) -> NoiseScale:
-    from .relations import sigma_via_cdp_route  # relations imports this module
-
-    return sigma_via_cdp_route(budget, sens)
-
-
-# Each entry looks its function up when called, so that rebinding a module
-# name (as a call tracer does) also reroutes calibrate.
+# Each entry looks its function up by module attribute when called (a name
+# of this module, or of ``relations`` for the cdp route), so that rebinding
+# it (as a call tracer does) also reroutes calibrate and compare_grid.
 _CALIBRATIONS = {
     Mechanism.DWORK2006: lambda budget, sens: sigma_dwork2006(budget, sens),
     Mechanism.DWORK2014: lambda budget, sens: sigma_dwork2014(budget, sens),
@@ -748,7 +784,7 @@ _CALIBRATIONS = {
     Mechanism.PDP_OPT: lambda budget, sens: solve_pdp_opt(budget, sens).noise,
     Mechanism.MECH3: lambda budget, sens: sigma_mech3(budget, sens),
     Mechanism.MECH4: lambda budget, sens: sigma_mech4(budget, sens),
-    Mechanism.CDP_ROUTE: lambda budget, sens: _cdp_route(budget, sens),
+    Mechanism.CDP_ROUTE: lambda budget, sens: relations.sigma_via_cdp_route(budget, sens),
 }
 
 
@@ -784,3 +820,9 @@ def compare_grid(
                 achieves = kind in dp_certified or achieves_dp(noise, budget, sens)
                 rows.append((eps, delta, kind, noise.sigma, achieves))
     return rows
+
+
+# relations imports its names from this module, so it is imported once, here,
+# after every one of them is defined; the cdp-route entry above reads it only
+# when called.
+from . import relations  # noqa: E402

@@ -65,11 +65,11 @@ def effective_unit_sigma(terms: Iterable[CompositionTerm]) -> float:
 
 def composed_dp_delta(terms: Sequence[CompositionTerm], epsilon: float) -> float:
     """Smallest delta for which the composition is (epsilon, delta)-DP."""
-    epsilon = _check_range("epsilon", float(epsilon))
+    epsilon = float(_check_range("epsilon", epsilon))
     return _dp_delta_unit(effective_unit_sigma(terms), epsilon)
 
 
 def composed_pdp_delta(terms: Sequence[CompositionTerm], epsilon: float) -> float:
     """Smallest delta for which the composition is (epsilon, delta)-pDP."""
-    epsilon = _check_range("epsilon", float(epsilon))
+    epsilon = float(_check_range("epsilon", epsilon))
     return _pdp_delta_unit(effective_unit_sigma(terms), epsilon)

@@ -106,7 +106,7 @@ def sample_noise(dim: int, sigma: float, seed: int) -> NoisySample:
     import numpy as np
 
     dim = _check_count("dim", dim)
-    sigma = _check_range("sigma", float(sigma), zero=True)
+    sigma = float(_check_range("sigma", sigma, zero=True))
     seed = _check_seed(seed)
     if sigma == 0.0:
         values = np.zeros(dim)
@@ -139,9 +139,9 @@ def privacy_loss_tails(
     """
     import numpy as np
 
-    distance = _check_range("distance", float(distance), zero=True)
-    sigma = _check_range("sigma", float(sigma))
-    epsilon = _check_range("epsilon", float(epsilon), zero=True)
+    distance = float(_check_range("distance", distance, zero=True))
+    sigma = float(_check_range("sigma", sigma))
+    epsilon = float(_check_range("epsilon", epsilon, zero=True))
     n_samples = _check_count("n_samples", n_samples)
     seed = _check_seed(seed)
     if distance == 0.0:
@@ -245,7 +245,10 @@ def mean_experiment(
     n = _check_count("n", n)
     d = _check_count("d", d)
     trials = _check_count("trials", trials)
-    delta_q = math.sqrt(d) / n if sensitivity is None else float(sensitivity)
+    if sensitivity is None:
+        delta_q = math.sqrt(d) / n
+    else:
+        delta_q = float(_check_range("l2 sensitivity", sensitivity, zero=True))
     kinds, sigmas = _calibrate_all(kinds, budget, Sensitivity(delta_q))
 
     # dataset fixed per seed; noise resampled per trial
@@ -331,7 +334,11 @@ def histogram_counts(rows: Sequence[Sequence[str]] | Mapping[Sequence[str], int]
         cell = 0
         for value, position, domain in zip(row, positions, domains):
             cell = cell * len(domain) + position[value]
-        counts[cell] = n
+        try:
+            counts[cell] = n
+        except OverflowError:  # an int count past the double range
+            _check_count(f"count of {row!r}", n)
+            raise
     return counts
 
 

@@ -55,8 +55,8 @@ def dp_to_pdp(budget: PrivacyBudget, eps_star: float) -> PrivacyBudget:
     No clamping: if the converted delta reaches 1 the budget is vacuous and a
     ValueError is raised instead.
     """
-    eps_star = float(eps_star)
-    if not (math.isfinite(eps_star) and eps_star > budget.epsilon):
+    eps_star = float(_check_range("eps_star", eps_star))
+    if not eps_star > budget.epsilon:
         raise ValueError(
             f"eps_star must exceed epsilon={budget.epsilon!r}, got {eps_star!r}"
         )
@@ -78,8 +78,8 @@ def mcdp_to_pdp_delta(params: McdpParams, epsilon: float) -> float:
     sensitivity) this is the subgaussian tail-bound counterpart of the exact
     pDP profile, and always dominates it.
     """
-    epsilon = float(epsilon)
-    if not (math.isfinite(epsilon) and epsilon > params.mu):
+    epsilon = float(_check_range("epsilon", epsilon))
+    if not epsilon > params.mu:
         raise ValueError(f"epsilon must exceed mu={params.mu!r}, got {epsilon!r}")
     lo = _half_square_ratio(epsilon - params.mu, params.tau)
     hi = _half_square_ratio(epsilon + params.mu, params.tau)

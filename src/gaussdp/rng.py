@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .calib import _check_count
+from .calib import _check_count, _shown
 
 if TYPE_CHECKING:
     import numpy as np
@@ -46,7 +46,7 @@ _STATE_HASH = tuple(_INIT_B * pow(_MULT_B, j, 1 << 32) & _M32 for j in range(9))
 def _check_seed(seed: int) -> int:
     # an int or a numpy integer, as numpy's SeedSequence takes; not a float
     if not hasattr(seed, "__index__") or seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+        raise ValueError(f"seed must be an integer >= 0, got {_shown(seed)}")
     return int(seed)
 
 

@@ -7,6 +7,7 @@ published precision), 50-digit mpmath re-evaluations of the closed forms
 and profile inversion).
 """
 
+import builtins
 import math
 import random
 import statistics
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp, mpf
 
-from gaussdp import calib
+from gaussdp import calib, relations
 from gaussdp.calib import (
     DEFAULT_TOL,
     MECHANISM_ORDER,
@@ -853,6 +854,39 @@ def test_calibrate_rejects_unknown_tag():
     for kind in ("bogus", 3, "DP_OPT"):
         with pytest.raises(ValueError):
             calibrate(kind, PrivacyBudget(1.0, 1e-5), UNIT)
+
+
+def test_rebound_cdp_route_reroutes_calibrate_and_compare_grid(monkeypatch):
+    # the dispatch reads relations.sigma_via_cdp_route when called, so a
+    # call tracer that rebinds it sees every cdp-route calibration
+    planted = NoiseScale(7.0, Mechanism.CDP_ROUTE)
+    monkeypatch.setattr(relations, "sigma_via_cdp_route", lambda budget, sens: planted)
+    assert calibrate(Mechanism.CDP_ROUTE, PrivacyBudget(1.0, 1e-5), UNIT) is planted
+    rows = compare_grid([1.0], [1e-5], UNIT)
+    assert [row[2] for row in rows] == list(MECHANISM_ORDER)
+    assert rows[-1][2:4] == (Mechanism.CDP_ROUTE, 7.0)
+
+
+def test_calibration_entries_import_nothing_per_call(monkeypatch):
+    # a function-level import costs more than a closed form; after one
+    # warm call none of these may import
+    b = PrivacyBudget(1.0, 1e-5)
+
+    def run():
+        noises = {kind: calibrate(kind, b, UNIT) for kind in MECHANISM_ORDER}
+        compare_grid([0.5, 2.0], [1e-6, 1e-3], UNIT)
+        failure_threshold(f_dwork2014(1e-5), 1e-5)
+        dp_delta_profile(noises[Mechanism.DP_OPT], 1.0, UNIT)
+        pdp_delta_profile(noises[Mechanism.PDP_OPT], 1.0, UNIT)
+        achieves_dp(noises[Mechanism.DWORK2014], b, UNIT)
+
+    def refuse(name, *args, **kwargs):
+        raise AssertionError(f"import of {name!r}")
+
+    run()
+    with monkeypatch.context() as patch:
+        patch.setattr(builtins, "__import__", refuse)
+        run()
 
 
 @pytest.mark.parametrize("kind", MECHANISM_ORDER)

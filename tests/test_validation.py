@@ -14,19 +14,32 @@ from gaussdp.calib import (
     Sensitivity,
     achieves_dp,
     calibrate,
+    compare_grid,
     dp_delta_profile,
+    dp_opt_zero_eps,
+    failure_threshold,
     pdp_delta_profile,
+    solve_dp_opt,
+    solve_pdp_opt,
 )
 from gaussdp.cli import main
+from gaussdp.compose import CompositionTerm, composed_dp_delta, composed_pdp_delta
 from gaussdp.mech import (
     histogram_counts,
     histogram_experiment,
     mean_experiment,
+    privacy_loss_sample,
     privacy_loss_tails,
     sample_noise,
     synthetic_census_rows,
 )
-from gaussdp.relations import zcdp_of_sigma
+from gaussdp.relations import (
+    McdpParams,
+    ZcdpParams,
+    dp_to_pdp,
+    mcdp_to_pdp_delta,
+    zcdp_of_sigma,
+)
 from gaussdp.rng import generator, standard_normal, standard_normal_rows
 
 UNIT = Sensitivity(1.0)
@@ -91,6 +104,85 @@ def test_bad_number_names_argument_and_bound(entry, value):
     assert str(excinfo.value) == f"{name} must be {bound}, got {value!r}"
 
 
+# every other public entry that takes a number, as above; with
+# ENTRY_POINTS these are all of them outside specfun, whose functions
+# convert their argument as the math module does
+IN_UNIT = "in (0, 1)"
+TERM = CompositionTerm(UNIT, 1.0)
+NUMBER_ENTRY_POINTS = {
+    **ENTRY_POINTS,
+    "PrivacyBudget-epsilon": ("epsilon", lambda v: PrivacyBudget(v, 0.1), POSITIVE),
+    "PrivacyBudget-delta": ("delta", lambda v: PrivacyBudget(1.0, v), IN_UNIT),
+    "Sensitivity-l2": ("l2 sensitivity", Sensitivity, NON_NEGATIVE),
+    "NoiseScale-sigma": ("sigma", _sigma, NON_NEGATIVE),
+    "dp_delta_profile-epsilon": (
+        "epsilon", lambda v: dp_delta_profile(_sigma(1.0), v, UNIT), POSITIVE),
+    "pdp_delta_profile-epsilon": (
+        "epsilon", lambda v: pdp_delta_profile(_sigma(1.0), v, UNIT), POSITIVE),
+    "dp_opt_zero_eps-delta": ("delta", lambda v: dp_opt_zero_eps(v, UNIT), IN_UNIT),
+    "solve_dp_opt-tol": ("tol", lambda v: solve_dp_opt(BUDGET, UNIT, v), POSITIVE),
+    "solve_pdp_opt-tol": ("tol", lambda v: solve_pdp_opt(BUDGET, UNIT, v), POSITIVE),
+    "failure_threshold-F": ("F(delta)", lambda v: failure_threshold(v, 1e-5), POSITIVE),
+    "failure_threshold-delta": ("delta", lambda v: failure_threshold(4.0, v), IN_UNIT),
+    "compare_grid-eps": ("epsilon", lambda v: compare_grid([v], [1e-5], UNIT), POSITIVE),
+    "compare_grid-delta": ("delta", lambda v: compare_grid([1.0], [v], UNIT), IN_UNIT),
+    "CompositionTerm-sigma": ("sigma", lambda v: CompositionTerm(UNIT, v), POSITIVE),
+    "composed_dp_delta-epsilon": ("epsilon", lambda v: composed_dp_delta([TERM], v), POSITIVE),
+    "composed_pdp_delta-epsilon": ("epsilon", lambda v: composed_pdp_delta([TERM], v), POSITIVE),
+    "McdpParams-mu": ("mu", lambda v: McdpParams(v, 1.0), NON_NEGATIVE),
+    "McdpParams-tau": ("tau", lambda v: McdpParams(0.5, v), POSITIVE),
+    "ZcdpParams-rho": ("rho", ZcdpParams, POSITIVE),
+    "dp_to_pdp-eps_star": ("eps_star", lambda v: dp_to_pdp(BUDGET, v), POSITIVE),
+    "mcdp_to_pdp_delta-epsilon": (
+        "epsilon", lambda v: mcdp_to_pdp_delta(McdpParams(0.5, 1.0), v), POSITIVE),
+    "sample_noise-sigma": ("sigma", lambda v: sample_noise(3, v, 0), NON_NEGATIVE),
+    "privacy_loss_tails-distance": (
+        "distance", lambda v: privacy_loss_tails(v, 1.0, 1.0, 10, 0), NON_NEGATIVE),
+    "privacy_loss_tails-sigma": (
+        "sigma", lambda v: privacy_loss_tails(1.0, v, 1.0, 10, 0), POSITIVE),
+    "privacy_loss_tails-epsilon": (
+        "epsilon", lambda v: privacy_loss_tails(1.0, 1.0, v, 10, 0), NON_NEGATIVE),
+    "privacy_loss_sample-sigma": (
+        "sigma", lambda v: privacy_loss_sample(1.0, v, 1.0, 10, 0), POSITIVE),
+    "mean_experiment-sensitivity": (
+        "l2 sensitivity",
+        lambda v: mean_experiment(10, 2, BUDGET, MECHANISM_ORDER, 2, 0, sensitivity=v),
+        NON_NEGATIVE),
+    "histogram_counts-count": (
+        "count of ('a',)", lambda v: histogram_counts({("a",): v}), POSITIVE),
+}
+# an int of more than sys.get_int_max_str_digits() (4300) digits has no
+# repr; its message names its size
+TOO_LONG = 10**5000
+HUGE_INTS = {
+    "1e400": (10**400, repr(10**400)),
+    "-1e400": (-(10**400), repr(-(10**400))),
+    "1e5000": (TOO_LONG, f"an int of {TOO_LONG.bit_length()} bits"),
+    "-1e5000": (-TOO_LONG, f"a negative int of {TOO_LONG.bit_length()} bits"),
+}
+
+
+@pytest.mark.parametrize("value", list(HUGE_INTS))
+@pytest.mark.parametrize("entry", list(NUMBER_ENTRY_POINTS))
+def test_int_past_the_double_range_names_argument_and_bound(entry, value):
+    # math.isfinite and float() raise OverflowError for such an int; the
+    # range check refuses it as given, before any float() of it
+    name, call, bound = NUMBER_ENTRY_POINTS[entry]
+    value, shown = HUGE_INTS[value]
+    with pytest.raises(ValueError) as excinfo:
+        call(value)
+    assert str(excinfo.value) == f"{name} must be {bound}, got {shown}"
+
+
+def test_cli_huge_count_names_its_bound(capsys):
+    argv = ["experiment", "mean", "--n", str(10**400), "--d", "2", "--eps", "1",
+            "--delta", "1e-5", "--trials", "2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"gaussdp: error: n must be finite and positive, got {10**400}\n"
+
+
 SEED_ENTRY_POINTS = {
     "generator": lambda seed: generator(seed, 3),
     "standard_normal_rows": lambda seed: standard_normal_rows(4, seed, [1, 2]),
@@ -127,12 +219,21 @@ def test_cli_bad_seed_names_its_bound(capsys, tmp_path, kind):
 
 def test_huge_seeds_are_seeds():
     # a seed of any width is valid, and never reaches a float check
-    seed = 10**400
-    assert sample_noise(3, 1.0, seed).values.tobytes() == (
-        standard_normal(3, generator(seed)).tobytes()
-    )
-    assert standard_normal_rows(3, seed, [5])[0].tobytes() == (
-        standard_normal(3, generator(seed, 5)).tobytes()
+    for seed in (10**400, TOO_LONG):
+        assert sample_noise(3, 1.0, seed).values.tobytes() == (
+            standard_normal(3, generator(seed)).tobytes()
+        )
+        assert standard_normal_rows(3, seed, [5])[0].tobytes() == (
+            standard_normal(3, generator(seed, 5)).tobytes()
+        )
+
+
+@pytest.mark.parametrize("entry", list(SEED_ENTRY_POINTS))
+def test_negative_seed_too_long_for_repr_names_its_bound(entry):
+    with pytest.raises(ValueError) as excinfo:
+        SEED_ENTRY_POINTS[entry](-TOO_LONG)
+    assert str(excinfo.value) == (
+        f"seed must be an integer >= 0, got {HUGE_INTS['-1e5000'][1]}"
     )
 
 

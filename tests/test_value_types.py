@@ -1,5 +1,7 @@
 """The value types' contract: PrivacyBudget, Sensitivity and NoiseScale are
-frozen dataclasses whose own __init__ checks and stores each field."""
+frozen dataclasses whose own __init__ checks and stores each field.
+CalibrationResult, the solvers' result, is built the same way, with no
+check."""
 
 import copy
 import dataclasses
@@ -16,11 +18,14 @@ import pytest
 import gaussdp
 from gaussdp.calib import (
     MECHANISM_ORDER,
+    CalibrationResult,
     Mechanism,
     NoiseScale,
     PrivacyBudget,
     Sensitivity,
     calibrate,
+    solve_dp_opt,
+    solve_pdp_opt,
 )
 
 # (type, positional arguments, repr of the value they build)
@@ -29,6 +34,9 @@ VALUES = [
     (Sensitivity, (2.5,), "Sensitivity(l2=2.5)"),
     (NoiseScale, (1.0, Mechanism.DP_OPT),
      "NoiseScale(sigma=1.0, kind=<Mechanism.DP_OPT: 'dp-opt'>)"),
+    (CalibrationResult, (NoiseScale(1.0, Mechanism.DP_OPT), 0.5, 0.0, 2.0, 3, -1e-17),
+     "CalibrationResult(noise=NoiseScale(sigma=1.0, kind=<Mechanism.DP_OPT: 'dp-opt'>), "
+     "root=0.5, bracket_low=0.0, bracket_high=2.0, iterations=3, residual=-1e-17)"),
 ]
 IDS = [cls.__name__ for cls, _, _ in VALUES]
 
@@ -86,7 +94,11 @@ def test_pickle_and_copies_round_trip(cls, args, text):
 
 @pytest.mark.parametrize("cls, args, text", VALUES, ids=IDS)
 def test_fields_and_asdict(cls, args, text):
-    assert dataclasses.asdict(cls(*args)) == _keywords(cls, args)
+    # asdict turns a nested value (a result's noise) into its dict too
+    assert dataclasses.asdict(cls(*args)) == {
+        name: dataclasses.asdict(arg) if dataclasses.is_dataclass(arg) else arg
+        for name, arg in _keywords(cls, args).items()
+    }
 
 
 @pytest.mark.parametrize(
@@ -111,6 +123,17 @@ def test_replace_runs_the_check(value, change, message):
 def test_replace_keeps_the_other_fields():
     budget = dataclasses.replace(PrivacyBudget(1.0, 1e-5), delta=1e-3)
     assert budget == PrivacyBudget(1.0, 1e-3)
+
+
+@pytest.mark.parametrize("solve", [solve_dp_opt, solve_pdp_opt], ids=lambda f: f.__name__)
+def test_replace_plants_a_sigma_in_a_solver_result(solve):
+    # how a test swaps the noise of a real solve for a lower one
+    result = solve(PrivacyBudget(1.0, 1e-5), Sensitivity(1.0))
+    low = NoiseScale(0.99 * result.noise.sigma, result.noise.kind)
+    planted = dataclasses.replace(result, noise=low)
+    assert type(planted) is CalibrationResult
+    assert vars(planted) == {**vars(result), "noise": low}
+    assert planted != result
 
 
 def _draw(rng, lo, hi):
@@ -159,7 +182,9 @@ def _own_init_dataclasses():
 
 
 def test_own_init_dataclasses_are_found():
-    assert {PrivacyBudget, Sensitivity, NoiseScale} <= set(_own_init_dataclasses())
+    assert {PrivacyBudget, Sensitivity, NoiseScale, CalibrationResult} <= set(
+        _own_init_dataclasses()
+    )
 
 
 @pytest.mark.parametrize("cls", _own_init_dataclasses(), ids=lambda cls: cls.__name__)
