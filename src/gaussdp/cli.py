@@ -13,8 +13,12 @@ grid value is repr'd once.  Nothing is written until the whole table is
 built, so a failing command leaves an existing output file as it was.
 ``--output`` gets the table as one UTF-8 buffer with ``os.linesep`` line
 ends, written over the old file, which is then trimmed to it.
-Each command is parsed once, by its own subcommand's parser; the top-level
-parser answers only ``-h``, ``--version`` and usage errors.
+Where each argument after the command (and experiment's kind) is an exact
+store or append option and one value, neither empty nor starting with '-',
+``_read`` takes the command line by the parsers' own actions, types and
+choices.  argparse reads every other one, and writes every help and error
+message: the command's own parser reads it, and the top-level parser answers
+only ``-h``, ``--version`` and usage errors.
 No command sets how closely a root is solved: ``calibrate``, ``compare``
 and ``region`` get the library's fixed 1e-12, as its own callers do.
 Exit status: 0 on success, 2 on usage or domain errors, 3 on numerical
@@ -283,24 +287,79 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser], dict]:
     # built once per process (parsing keeps no state between calls), with
-    # its table of command name -> that command's parser
+    # its table of command name -> that command's parser, and _read's table
     parser = build_parser()
     (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return parser, sub.choices
+    readers: dict = {}
+    for name, command in sub.choices.items():
+        _add_reader(readers, (name,), command, {})
+    return parser, sub.choices, readers
+
+
+def _add_reader(readers: dict, words: tuple, parser, before: dict) -> None:
+    """Enter under argv ``words`` a parser of help and one-value store or
+    append options: its options and the namespace argparse starts it with,
+    over ``before``; a parser of help and subcommands (experiment) enters
+    those.  argparse reads any other parser's argv."""
+    actions = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+    if len(actions) == 1 and isinstance(actions[0], argparse._SubParsersAction):
+        for name, child in actions[0].choices.items():
+            start = {**before, **parser._defaults, actions[0].dest: name}
+            _add_reader(readers, (*words, name), child, start)
+    elif not parser._mutually_exclusive_groups and all(
+            type(a) in (argparse._StoreAction, argparse._AppendAction) and a.nargs is None
+            for a in actions):
+        # reversed: the first action of a dest gives its default, as in argparse
+        start = {a.dest: a.default for a in reversed(actions)
+                 if a.default is not argparse.SUPPRESS}
+        readers[words] = (parser, {s: a for a in actions for s in a.option_strings},
+                          {**before, **parser._defaults, **start}, len(words))
+
+
+def _read(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse gives argv, read with ``_parser``'s table if each
+    argument is an exact option string and a value, neither empty nor starting
+    with '-', that its type and choices take; else None, for argparse to read."""
+    readers = _parser()[2]
+    reader = readers.get(tuple(argv[:1])) or readers.get(tuple(argv[:2]))
+    if reader is None or (len(argv) - reader[3]) % 2:
+        return None
+    parser, options, start, depth = reader
+    args, seen = argparse.Namespace(**start), set()
+    try:
+        for option, text in zip(argv[depth::2], argv[depth + 1::2]):
+            action = options.get(option)
+            if action is None or text[:1] in parser.prefix_chars:  # "" is in it too
+                return None
+            value = parser._get_value(action, text)
+            parser._check_value(action, value)
+            action(parser, args, value, option)
+            seen.add(action)
+        for action in (a for a in parser._actions if a not in seen):  # as argparse does
+            if action.required:
+                return None
+            if (isinstance(action.default, str)
+                    and getattr(args, action.dest, None) is action.default):
+                setattr(args, action.dest, parser._get_value(action, action.default))
+    except argparse.ArgumentError:
+        return None
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser, commands = _parser()
-    # the command's own parser reads its arguments once; the top-level parser
-    # runs only for what it alone answers (no command, -h, --version, an
-    # unknown name) and for leftover arguments, whose error it prints
-    command = commands.get(argv[0]) if argv else None
-    args, extra = command.parse_known_args(argv[1:]) if command else (None, None)
-    if args is None or extra:
-        args = parser.parse_args(argv)
+    args = _read(argv)
+    if args is None:
+        # the command's own parser reads argv; the top-level parser only what
+        # it alone answers (no command, -h, --version, an unknown name) and
+        # leftover arguments, whose error it prints
+        parser, commands, _ = _parser()
+        command = commands.get(argv[0]) if argv else None
+        args, extra = command.parse_known_args(argv[1:]) if command else (None, None)
+        if args is None or extra:
+            args = parser.parse_args(argv)
     try:
         args.func(args)
     except (ValueError, ArithmeticError, OSError) as exc:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -38,7 +39,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .calib import (
     Mechanism, NoiseScale, PrivacyBudget, Sensitivity,
-    _check_count, _check_range, _half_square_ratio, calibrate,
+    _check_count, _check_range, _half_square_ratio, _shown, calibrate,
 )
 from .rng import _check_seed, generator, standard_normal, standard_normal_rows
 
@@ -60,16 +61,23 @@ _BLOCK = 1 << 15
 
 @dataclass(eq=False)
 class QueryAnswer:
-    """A true query output (vector of reals)."""
+    """A true query output (a non-empty vector of finite reals)."""
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
         import numpy as np
 
-        self.values = np.asarray(self.values, dtype=np.float64)
+        try:
+            self.values = np.asarray(self.values, dtype=np.float64)
+        except OverflowError:  # an int past the double range, named below as given
+            self.values = np.asarray(self.values, dtype=object)
         if self.values.ndim != 1 or self.values.size < 1:
             raise ValueError("QueryAnswer.values must be a non-empty 1-d vector")
+        if self.values.dtype == object or not np.isfinite(self.values).all():
+            # the first entry that is nan, infinite or past the double range
+            bad = next(v for v in self.values.tolist() if not abs(v) <= sys.float_info.max)
+            raise ValueError(f"QueryAnswer.values must be finite, got {_shown(bad)}")
 
     @property
     def dim(self) -> int:

@@ -921,9 +921,11 @@ def _outcome(run, argv, capsysbinary):
     return code, captured.out, captured.err
 
 
+# the argv of each `gaussdp` line of README's CLI block
+_README_ARGVS = [tuple(shlex.split(line)[1:]) for line in _readme_block("## CLI").splitlines()
+                 if line.startswith("gaussdp ")]
 _DISPATCH_CASES = [
-    *(tuple(shlex.split(line)[1:]) for line in _readme_block("## CLI").splitlines()
-      if line.startswith("gaussdp ")),
+    *_README_ARGVS,
     *((*argv, "--tol", "5") for argv in EVERY_COMMAND.values()),
     (), ("--version",), ("-h",), ("calibrat",),
     ("--format", "json", *EVERY_COMMAND["calibrate"]),
@@ -935,6 +937,15 @@ _DISPATCH_CASES = [
     (*EVERY_COMMAND["calibrate"], "--", "x"),
     ("experiment",),
     ("experiment", "mean", "-h"),
+    ("experiment", "hist", "-h"),
+    # forms the table declines: argparse reads them, as before
+    ("calibrate", "--mech", "dp-opt", "--eps=1", "--delta", "1e-5"),
+    (*EVERY_COMMAND["calibrate"], "--output", "-"),
+    ("calibrate", "--mech", "dp-opt", "--eps", "-1", "--delta", "1e-5"),
+    (*EVERY_COMMAND["calibrate"], "--output", ""),
+    (*EVERY_COMMAND["calibrate"], "--sens"),
+    (*EVERY_COMMAND["calibrate"], "--format", "xml"),
+    ("calibrate", "--mech", "nope", "--mech", "dp-opt", "--eps", "1", "--delta", "1e-5"),
 ]
 
 
@@ -952,8 +963,8 @@ def test_dispatch_matches_the_top_level_parse(capsysbinary, tmp_path, argv):
 
 @pytest.mark.parametrize("name, argv", EVERY_COMMAND.items(), ids=EVERY_COMMAND.keys())
 def test_each_command_parsed_once_and_written_by_os_write(tmp_path, monkeypatch, name, argv):
-    # the command's own parser reads its arguments, and nothing else does;
-    # experiment's parser hands mean and hist to theirs
+    # a well-formed command is read with the table made from argparse's
+    # actions, so argparse parses nothing
     header, records = synthetic_census_rows(50, seed=3)
     write_categorical_csv(tmp_path / "x.csv", header, records)
     argv = [str(tmp_path / "x.csv") if arg == "x.csv" else arg for arg in argv]
@@ -972,7 +983,7 @@ def test_each_command_parsed_once_and_written_by_os_write(tmp_path, monkeypatch,
     monkeypatch.setattr(os, "write", recording_write)
     path = tmp_path / "out.csv"
     assert main([*argv, "--output", str(path)]) == 0
-    assert len(parses) == (2 if name.startswith("experiment") else 1), parses
+    assert parses == []
     assert b"".join(writes) == path.read_bytes()
 
 
@@ -1000,3 +1011,149 @@ def test_output_survives_partial_writes(capsys, tmp_path, monkeypatch):
     assert (code, out) == (0, "")
     assert path.read_bytes() == data
     assert len(calls) == -(-len(data) // 4096)
+
+
+def _fields(args):
+    # each field's repr, so that nan equals nan and 1 differs from 1.0
+    return {key: repr(value) for key, value in vars(args).items()}
+
+
+def _table_read(monkeypatch, argv):
+    # gaussdp.cli._read, failing if it calls argparse's parse_known_args
+    gaussdp.cli._parser()
+    with monkeypatch.context() as patch:
+        patch.setattr(argparse.ArgumentParser, "parse_known_args",
+                      lambda *args, **kwargs: pytest.fail("argparse parsed"))
+        return gaussdp.cli._read(list(argv))
+
+
+def _argparse_read(argv):
+    # what main's argparse path gives argv: its command's parser reads the rest
+    args, extra = gaussdp.cli._parser()[1][argv[0]].parse_known_args(list(argv[1:]))
+    assert extra == []
+    return args
+
+
+_READ_CASES = [
+    *EVERY_COMMAND.values(),
+    *_README_ARGVS,
+    ("calibrate", "--mech", "mech1", "--eps", "2", "--delta", "1e-5", "--mech", "dp-opt",
+     "--eps", "0.5"),
+    ("compose", "--term", "1:1", "--eps", "2", "--term", "2:0.5", "--term", "1:1", "--eps", "1"),
+    (*EVERY_COMMAND["calibrate"], "--sens", "1.0", "--format", "csv"),
+    (*EVERY_COMMAND["experiment-hist"], "--seed", "0", "--format", "json", "--output", "out.csv"),
+    (*EVERY_COMMAND["compare"], "--format", "json", "--output", "out.csv", "--format", "csv"),
+    ("calibrate", "--mech", "mech4", "--eps", "nan", "--delta", "inf", "--sens", "inf"),
+    ("profile", "--sigma-grid", "nan,inf,1", "--eps", "inf"),
+    ("experiment", "mean", "--n", "1_0", "--d", "2", "--eps", "1_0", "--delta", "1e-5",
+     "--trials", "1", "--seed", "1_0"),
+    ("calibrate", "--mech", "dp-opt", "--eps", " 1 ", "--delta", "1e-5 ", "--sens", "\t2"),
+    ("compose", "--term", " 1 : 2 ", "--eps", " 1"),
+    (*EVERY_COMMAND["experiment-mean"], "--sens", "0.5"),
+]
+
+
+@pytest.mark.parametrize("argv", _READ_CASES, ids=" ".join)
+def test_table_reads_as_argparse(monkeypatch, argv):
+    # a well-formed argv is read without argparse, to the namespace it gives
+    args = _table_read(monkeypatch, argv)
+    assert args is not None
+    assert _fields(args) == _fields(_argparse_read(argv))
+
+
+def _command_parsers(parser, words=()):
+    # (argv words, parser) of each command, experiment's mean and hist included
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield words, parser
+    for sub in subs:
+        for name, child in sub.choices.items():
+            yield from _command_parsers(child, (*words, name))
+
+
+# one value for each store or append option of the grammar, by dest
+_OPTION_VALUES = {
+    "mech": "mech2", "eps": "2", "delta": "1e-3", "sens": "3", "eps_grid": "1,2",
+    "delta_grid": "1e-3", "sigma_grid": "2", "term": "2:3", "n": "20", "d": "3",
+    "trials": "2", "seed": "7", "csv": "y.csv", "format": "json", "output": "out.csv",
+}
+
+
+def test_every_store_or_append_option_is_read(monkeypatch):
+    commands = list(_command_parsers(gaussdp.cli.build_parser()))
+    assert len(commands) == 7
+    for words, command in commands:
+        actions = [a for a in command._actions
+                   if type(a) in (argparse._StoreAction, argparse._AppendAction)]
+        required = [word for a in actions if a.required
+                    for word in (a.option_strings[0], _OPTION_VALUES[a.dest])]
+        for action in actions:
+            for option in action.option_strings:
+                argv = (*words, *required, option, _OPTION_VALUES[action.dest])
+                args = _table_read(monkeypatch, argv)
+                assert args is not None, argv
+                assert _fields(args) == _fields(_argparse_read(argv))
+
+
+class _UpperAction(argparse._StoreAction):
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values.upper())
+
+
+# options added to a copy of the grammar, each with the argv words that use
+# it and whether the table reads those: it reads store and append options of
+# one value, whatever their default, and leaves every other kind to argparse
+_ADDED_OPTIONS = {
+    "str-default-typed": (lambda p: p.add_argument("--scale", type=float, default="2"),
+                          ("--scale", "3"), True),
+    "suppressed-default": (lambda p: p.add_argument("--note", default=argparse.SUPPRESS),
+                           ("--note", "a"), True),
+    "append-to-default": (lambda p: p.add_argument("--tag", action="append", default=["x"]),
+                          ("--tag", "a"), True),
+    "shared-dest": (lambda p: p.add_argument("--sensitivity", dest="sens", type=float,
+                                             default=9.0), ("--sensitivity", "3"), True),
+    "store_true": (lambda p: p.add_argument("--verbose", action="store_true"),
+                   ("--verbose",), False),
+    "store_const": (lambda p: p.add_argument("--one", action="store_const", const=1),
+                    ("--one",), False),
+    "count": (lambda p: p.add_argument("--level", action="count"), ("--level",), False),
+    "boolean": (lambda p: p.add_argument("--fast", action=argparse.BooleanOptionalAction),
+                ("--no-fast",), False),
+    "extend": (lambda p: p.add_argument("--tag", action="extend", nargs="+"),
+               ("--tag", "a"), False),
+    "nargs-1": (lambda p: p.add_argument("--pair", nargs=1), ("--pair", "a"), False),
+    "nargs-?": (lambda p: p.add_argument("--maybe", nargs="?", const="c"),
+                ("--maybe", "a"), False),
+    "store-subclass": (lambda p: p.add_argument("--name", action=_UpperAction),
+                       ("--name", "a"), False),
+    "positional": (lambda p: p.add_argument("where"), ("a",), False),
+    "positional-*": (lambda p: p.add_argument("where", nargs="*"), ("a",), False),
+    "exclusive": (lambda p: p.add_mutually_exclusive_group().add_argument("--alt"),
+                  ("--alt", "a"), False),
+}
+
+
+@pytest.mark.parametrize("words", [("calibrate",), ("experiment", "mean")], ids=" ".join)
+@pytest.mark.parametrize("add, used, read", _ADDED_OPTIONS.values(), ids=_ADDED_OPTIONS.keys())
+def test_added_option_is_read_as_argparse_or_left_to_it(monkeypatch, words, add, used, read):
+    real = gaussdp.cli.build_parser
+
+    def build_with_option():
+        parser = real()
+        add(dict(_command_parsers(parser))[words])
+        return parser
+
+    monkeypatch.setattr(gaussdp.cli, "build_parser", build_with_option)
+    gaussdp.cli._parser.cache_clear()
+    try:
+        base = EVERY_COMMAND["calibrate" if words == ("calibrate",) else "experiment-mean"]
+        args = _table_read(monkeypatch, (*base, *used))
+        if read:
+            assert _fields(args) == _fields(_argparse_read((*base, *used)))
+        else:
+            assert args is None
+        # an argv that does not use it is read as argparse reads it, or left to it
+        args = _table_read(monkeypatch, base)
+        assert args is None or _fields(args) == _fields(_argparse_read(base))
+    finally:
+        gaussdp.cli._parser.cache_clear()

@@ -325,6 +325,20 @@ def test_query_answer_must_be_a_non_empty_vector(values):
         QueryAnswer(values)
 
 
+@pytest.mark.parametrize("values, shown", [
+    ([10**400], "1" + "0" * 400),
+    ([1.0, -(10**400)], "-1" + "0" * 400),
+    ([math.inf, math.nan], "inf"),
+    ([2.0, math.nan], "nan"),
+    (np.array([0.5, -np.inf]), "-inf"),
+], ids=["huge-int", "huge-negative-int", "inf-nan", "nan", "array-inf"])
+def test_query_answer_must_be_finite(values, shown):
+    # an int past the double range is named as given, not numpy's OverflowError,
+    # and no randomize can add noise to a non-finite answer
+    with pytest.raises(ValueError, match=rf"^QueryAnswer.values must be finite, got {shown}$"):
+        QueryAnswer(values)
+
+
 @pytest.mark.parametrize("count", [0, -3, 0.5, math.inf, -math.inf, math.nan])
 def test_histogram_counts_rejects_bad_count(count):
     # a fraction is refused as given, not truncated to the count below it
