@@ -42,9 +42,11 @@ Conventions used throughout:
     the cdp route sit far above theirs and never miss on the tests' domain
     sweep; a profile would double their cost, so they skip it.
   * ``calibrate`` and ``compare_grid`` share one table of nine entries.
-    Each entry looks its function up by module attribute when called, so a
-    rebound name reroutes both.  The cdp route's function lives in
-    ``relations``, which imports from this module, so ``relations`` is
+    Each entry looks its public function up by module attribute when
+    called, so a rebound name reroutes ``calibrate``; the five closed forms
+    whose root depends on delta alone also name that root, which
+    ``compare_grid`` takes once per delta column, and their root-to-sigma
+    step.  ``relations`` (the cdp route) imports from this module, so it is
     imported once, at the end of this module, after every name it takes.
 """
 
@@ -410,15 +412,15 @@ def _noise(
     return NoiseScale(sigma, kind)
 
 
-def _certified(sigma, kind, budget, sens, unit_profile) -> tuple[NoiseScale, float]:
-    """(_noise(sigma), achieved): sigma raised by 1, 2, 4, ... ulp until its
-    profile achieved = unit_profile(sigma / Delta, eps) <= delta.  Roots err
-    on the safe side, but an unevaluated Newton end point, or rounding in
-    inverfc or the profile, can leave sigma a few ulps short.  A sigma below
-    _FLOAT_MIN (Delta = 0, or too small) is left to ``_noise``, achieving
-    delta."""
+def _certified(root, kind, budget, sens, unit_profile) -> tuple[NoiseScale, float]:
+    """(_noise(sigma), achieved): sigma = _sigma_from_root(root) raised by 1,
+    2, 4, ... ulp until its profile achieved = unit_profile(sigma / Delta,
+    eps) <= delta.  Roots err on the safe side, but an unevaluated Newton end
+    point, or rounding in inverfc or the profile, can leave sigma a few ulps
+    short.  A sigma below _FLOAT_MIN (Delta = 0, or too small) is left to
+    ``_noise``, achieving delta."""
     eps, delta = budget.epsilon, budget.delta
-    achieved = delta
+    sigma, achieved = _sigma_from_root(root, eps, sens.l2), delta
     if sigma >= _FLOAT_MIN:
         step = math.ulp(sigma)
         for _ in range(_MAX_CERT_STEPS):
@@ -447,20 +449,30 @@ def _log_ratio(c: float, delta: float) -> float:
     return math.log(c) - math.log(delta)
 
 
+def _dwork2006_root(delta: float) -> float:
+    return math.sqrt(2.0 * _log_ratio(2.0, delta))
+
+
+def _dwork2014_root(delta: float) -> float:
+    return math.sqrt(2.0 * _log_ratio(1.25, delta))
+
+
+def _classical_noise(kind, root, budget, sens) -> NoiseScale:
+    return _noise(root * sens.l2 / budget.epsilon, kind, budget, sens)
+
+
 def sigma_dwork2006(budget: PrivacyBudget, sens: Sensitivity) -> NoiseScale:
     """sqrt(2 ln(2/delta)) * Delta / eps.
 
     No DP guarantee is implied for eps > 1; see ``failure_threshold`` for
     the eps beyond which this noise provably fails.
     """
-    sigma = math.sqrt(2.0 * _log_ratio(2.0, budget.delta)) * sens.l2 / budget.epsilon
-    return _noise(sigma, Mechanism.DWORK2006, budget, sens)
+    return _classical_noise(Mechanism.DWORK2006, _dwork2006_root(budget.delta), budget, sens)
 
 
 def sigma_dwork2014(budget: PrivacyBudget, sens: Sensitivity) -> NoiseScale:
     """sqrt(2 ln(1.25/delta)) * Delta / eps; same eps <= 1 caveat as above."""
-    sigma = math.sqrt(2.0 * _log_ratio(1.25, budget.delta)) * sens.l2 / budget.epsilon
-    return _noise(sigma, Mechanism.DWORK2014, budget, sens)
+    return _classical_noise(Mechanism.DWORK2014, _dwork2014_root(budget.delta), budget, sens)
 
 
 # ---------------------------------------------------------------------------
@@ -569,36 +581,39 @@ def sigma_mech1(budget: PrivacyBudget, sens: Sensitivity) -> NoiseScale:
     DP profile.
     """
     b = _mech1_root(budget.epsilon, budget.delta)
-    sigma = _sigma_from_root(b, budget.epsilon, sens.l2)
-    return _certified(sigma, Mechanism.MECH1, budget, sens, _dp_delta_unit)[0]
+    return _certified(b, Mechanism.MECH1, budget, sens, _dp_delta_unit)[0]
+
+
+def _mech2_root(delta: float) -> float:
+    if delta >= 0.5:
+        raise ValueError(f"mechanism 2 requires delta < 0.5, got delta={delta!r}")
+    return inverfc_seed(2.0 * delta)
+
+
+def _root_noise(kind, root, budget, sens) -> NoiseScale:
+    return _noise(_sigma_from_root(root, budget.epsilon, sens.l2), kind, budget, sens)
+
+
+def _pdp_root_noise(kind, root, budget, sens) -> NoiseScale:
+    return _certified(root, kind, budget, sens, _pdp_delta_unit)[0]
 
 
 def sigma_mech2(budget: PrivacyBudget, sens: Sensitivity) -> NoiseScale:
     """Elementary-function upper bound, valid for delta < 0.5:
     c = sqrt(ln(2/(sqrt(16 delta + 1) - 1)))."""
-    if budget.delta >= 0.5:
-        raise ValueError(
-            f"mechanism 2 requires delta < 0.5, got delta={budget.delta!r}"
-        )
-    c = inverfc_seed(2.0 * budget.delta)
-    sigma = _sigma_from_root(c, budget.epsilon, sens.l2)
-    return _noise(sigma, Mechanism.MECH2, budget, sens)
+    return _root_noise(Mechanism.MECH2, _mech2_root(budget.delta), budget, sens)
 
 
 def sigma_mech3(budget: PrivacyBudget, sens: Sensitivity) -> NoiseScale:
     """Closed-form upper bound on the optimal pDP noise: f = inverfc(delta),
     certified on the pDP profile."""
-    f = inverfc(budget.delta)
-    sigma = _sigma_from_root(f, budget.epsilon, sens.l2)
-    return _certified(sigma, Mechanism.MECH3, budget, sens, _pdp_delta_unit)[0]
+    return _pdp_root_noise(Mechanism.MECH3, inverfc(budget.delta), budget, sens)
 
 
 def sigma_mech4(budget: PrivacyBudget, sens: Sensitivity) -> NoiseScale:
     """Elementary-function upper bound on the optimal pDP noise:
     g = sqrt(ln(2/(sqrt(8 delta + 1) - 1))); valid for all delta in (0, 1)."""
-    g = inverfc_seed(budget.delta)
-    sigma = _sigma_from_root(g, budget.epsilon, sens.l2)
-    return _noise(sigma, Mechanism.MECH4, budget, sens)
+    return _root_noise(Mechanism.MECH4, inverfc_seed(budget.delta), budget, sens)
 
 
 def dp_opt_zero_eps(delta: float, sens: Sensitivity) -> NoiseScale:
@@ -631,8 +646,7 @@ def dp_opt_zero_eps(delta: float, sens: Sensitivity) -> NoiseScale:
 def _solver_result(kind, budget, sens, unit_profile, root, lo, hi, iterations):
     """The solvers' shared tail: certify the sigma of root on unit_profile
     and report it with the solve's telemetry."""
-    sigma = _sigma_from_root(root, budget.epsilon, sens.l2)
-    noise, achieved = _certified(sigma, kind, budget, sens, unit_profile)
+    noise, achieved = _certified(root, kind, budget, sens, unit_profile)
     return CalibrationResult(
         noise=noise,
         root=root,
@@ -772,19 +786,20 @@ def failure_threshold(f_of_delta: float, delta: float) -> float:
 # dispatcher
 
 
-# Each entry looks its function up by module attribute when called (a name
-# of this module, or of ``relations`` for the cdp route), so that rebinding
-# it (as a call tracer does) also reroutes calibrate and compare_grid.
+# kind: (calibration, delta_root, finish).  Calibrations and specfun roots look
+# their function up by module attribute when called, so that rebinding it (as
+# a call tracer does) reroutes them.  A closed form with a root of delta alone
+# names it, and the finish(kind, root, budget, sens) its public function ends in.
 _CALIBRATIONS = {
-    Mechanism.DWORK2006: lambda budget, sens: sigma_dwork2006(budget, sens),
-    Mechanism.DWORK2014: lambda budget, sens: sigma_dwork2014(budget, sens),
-    Mechanism.DP_OPT: lambda budget, sens: solve_dp_opt(budget, sens).noise,
-    Mechanism.MECH1: lambda budget, sens: sigma_mech1(budget, sens),
-    Mechanism.MECH2: lambda budget, sens: sigma_mech2(budget, sens),
-    Mechanism.PDP_OPT: lambda budget, sens: solve_pdp_opt(budget, sens).noise,
-    Mechanism.MECH3: lambda budget, sens: sigma_mech3(budget, sens),
-    Mechanism.MECH4: lambda budget, sens: sigma_mech4(budget, sens),
-    Mechanism.CDP_ROUTE: lambda budget, sens: relations.sigma_via_cdp_route(budget, sens),
+    Mechanism.DWORK2006: (lambda b, s: sigma_dwork2006(b, s), _dwork2006_root, _classical_noise),
+    Mechanism.DWORK2014: (lambda b, s: sigma_dwork2014(b, s), _dwork2014_root, _classical_noise),
+    Mechanism.DP_OPT: (lambda b, s: solve_dp_opt(b, s).noise, None, None),
+    Mechanism.MECH1: (lambda b, s: sigma_mech1(b, s), None, None),
+    Mechanism.MECH2: (lambda b, s: sigma_mech2(b, s), _mech2_root, _root_noise),
+    Mechanism.PDP_OPT: (lambda b, s: solve_pdp_opt(b, s).noise, None, None),
+    Mechanism.MECH3: (lambda b, s: sigma_mech3(b, s), lambda d: inverfc(d), _pdp_root_noise),
+    Mechanism.MECH4: (lambda b, s: sigma_mech4(b, s), lambda d: inverfc_seed(d), _root_noise),
+    Mechanism.CDP_ROUTE: (lambda b, s: relations.sigma_via_cdp_route(b, s), None, None),
 }
 
 
@@ -792,7 +807,7 @@ def calibrate(kind: Mechanism, budget: PrivacyBudget, sens: Sensitivity) -> Nois
     """Calibrated noise scale for any mechanism tag (solvers at DEFAULT_TOL)."""
     if not isinstance(kind, Mechanism):
         kind = Mechanism(kind)  # a string tag, or a ValueError
-    return _CALIBRATIONS[kind](budget, sens)
+    return _CALIBRATIONS[kind][0](budget, sens)
 
 
 def compare_grid(
@@ -803,22 +818,31 @@ def compare_grid(
     innermost.
 
     Each sigma is ``calibrate``'s and each flag ``achieves_dp``'s, bit for
-    bit.  The flags of dp-opt and mech1 are True without a second look at
-    their profile: their certificate checked the same DP profile on the same
-    floats, and at sensitivity 0 ``achieves_dp`` is True for every mechanism.
-    A pDP certificate rounds along another path, so it proves no DP flag.
+    bit, and the first error is the scalar loop's.  dp-opt, mech1, pdp-opt
+    and the cdp route go through their public functions; the other five
+    take their delta-root from the table once per delta column, at its first
+    cell in the scalar loop's order, and finish each cell by their public
+    function's step.  A flag is ``achieves_dp`` past the checks the cell's
+    budget and ``_noise`` have passed; dp-opt's and mech1's are True, since
+    their certificate checked the same DP profile on the same floats (a pDP
+    certificate rounds along another path, so it proves no DP flag).
     """
     calibrations = [(kind, _CALIBRATIONS[kind]) for kind in MECHANISM_ORDER]
-    dp_certified = (Mechanism.DP_OPT, Mechanism.MECH1)
-    delta_grid = list(delta_grid)
+    certain = MECHANISM_ORDER if sens.l2 == 0.0 else (Mechanism.DP_OPT, Mechanism.MECH1)
+    columns = [(delta, {}) for delta in delta_grid]  # each with its kind -> delta-root
     rows = []
     for eps in eps_grid:
-        for delta in delta_grid:
+        for delta, roots in columns:
             budget = PrivacyBudget(eps, delta)
-            for kind, calibration in calibrations:
-                noise = calibration(budget, sens)
-                achieves = kind in dp_certified or achieves_dp(noise, budget, sens)
-                rows.append((eps, delta, kind, noise.sigma, achieves))
+            for kind, (calibration, delta_root, finish) in calibrations:
+                if delta_root is None:
+                    sigma = calibration(budget, sens).sigma
+                else:
+                    if kind not in roots:
+                        roots[kind] = delta_root(delta)
+                    sigma = finish(kind, roots[kind], budget, sens).sigma
+                achieves = kind in certain or _dp_delta_unit(sigma / sens.l2, float(eps)) <= delta
+                rows.append((eps, delta, kind, sigma, achieves))
     return rows
 
 

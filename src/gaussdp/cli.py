@@ -150,13 +150,13 @@ def cmd_compare(args) -> None:
     if args.format == "json":
         _emit(fieldnames, rows, args)
         return
-    # _emit's bytes, but each grid value is repr'd once: formatting every
-    # cell of a 30x30 grid took three times as long
+    # _emit's bytes, but each grid value, tag and flag is formatted once:
+    # formatting every cell of a 30x30 grid took three times as long
     grid_text = {value: repr(value) for value in (*args.eps_grid, *args.delta_grid)}
+    tag, flag = {kind: f",{kind}," for kind in MECHANISM_ORDER}, {True: ",true", False: ",false"}
     lines = [",".join(fieldnames)]
     lines += [
-        f"{grid_text[eps]},{grid_text[delta]},{kind.value},{sigma!r},"
-        f"{'true' if achieves else 'false'}"
+        f"{grid_text[eps]},{grid_text[delta]}{tag[kind]}{sigma!r}{flag[achieves]}"
         for eps, delta, kind, sigma, achieves in rows
     ]
     lines.append("")

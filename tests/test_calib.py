@@ -13,6 +13,7 @@ import random
 import statistics
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -940,19 +941,73 @@ def test_zero_sensitivity_gives_zero_sigma_that_achieves_dp():
             assert replace(at_zero, noise=at_one.noise, residual=at_one.residual) == at_one
 
 
+def scalar_rows(eps_grid, delta_grid, sens):
+    """compare_grid's rows by the scalar loop: calibrate and achieves_dp per row."""
+    rows = []
+    for eps in eps_grid:
+        for delta in delta_grid:
+            b = budget(eps, delta)
+            for kind in MECHANISM_ORDER:
+                noise = calibrate(kind, b, sens)
+                rows.append((eps, delta, kind, noise.sigma, achieves_dp(noise, b, sens)))
+    return rows
+
+
+def bits(rows):
+    # sigma by its bits (0.0 is not -0.0) and the flag by its type too
+    return [(eps, delta, kind, sigma.hex(), type(flag), flag)
+            for eps, delta, kind, sigma, flag in rows]
+
+
 def test_compare_grid_equals_scalar_calibrations():
-    eps_grid = SWEEP_EPS
-    delta_grid = (1e-300, 1e-12, 1e-6, 0.1, 0.49)
-    for sens in (Sensitivity(1e-3), UNIT, Sensitivity(1e3)):
-        want = []
-        for eps in eps_grid:
-            for delta in delta_grid:
-                b = budget(eps, delta)
-                for kind in MECHANISM_ORDER:
-                    noise = calibrate(kind, b, sens)
-                    want.append((eps, delta, kind, noise.sigma, achieves_dp(noise, b, sens)))
-        # every sigma is positive here, so == compares the bits
-        assert compare_grid(eps_grid, delta_grid, sens) == want
+    # int eps; delta in (0, 1) has no int value, so a Fraction stands in for a
+    # delta that is no float; 1e-6 twice; columns at the least double and 0.49
+    eps_grid = (*SWEEP_EPS, 1, 3)
+    delta_grid = (5e-324, 1e-300, 1e-12, 1e-6, 0.1, 1e-6, Fraction(1, 10), 0.49)
+    for sens in (Sensitivity(0.0), Sensitivity(1e-3), UNIT, Sensitivity(1e3)):
+        want = scalar_rows(eps_grid, delta_grid, sens)
+        assert bits(compare_grid(eps_grid, delta_grid, sens)) == bits(want)
+
+
+def _error(call):
+    try:
+        call()
+    except Exception as exc:  # noqa: BLE001 - any error the scalar loop raises
+        return type(exc), str(exc)
+    pytest.fail("no error raised")
+
+
+@pytest.mark.parametrize(
+    "eps_grid, delta_grid, l2",
+    [
+        ([1.0, 2.0], [1e-5, 0.6, 1e-3], 1.0),  # mechanism 2's delta >= 0.5 message
+        ([1.0, 2.0], [1e-5, 0.0, 1e-3], 1.0),  # delta = 0 in the second column
+        ([1.0, -1.0, 2.0], [1e-5, 0.1], 1.0),  # an invalid eps in the second row
+        ([1.0, 2.0], [0.6, 0.9, 1e-5], 1e-320),  # dwork2006's sensitivity message
+    ],
+    ids=["mech2-delta-half", "zero-delta", "bad-eps-row", "tiny-sensitivity"],
+)
+def test_compare_grid_raises_the_scalar_loops_error(eps_grid, delta_grid, l2):
+    # a delta-root taken before its cell's turn would raise mechanism 2's
+    # message, or inverfc_seed's, in place of the scalar loop's first error
+    sens = Sensitivity(l2)
+    want = _error(lambda: scalar_rows(eps_grid, delta_grid, sens))
+    assert _error(lambda: compare_grid(eps_grid, delta_grid, sens)) == want
+
+
+def test_compare_grid_takes_inverfc_of_each_delta_once(monkeypatch):
+    # mechanism 3's root inverfc(delta) depends on delta alone: one call per
+    # delta column, not one per cell
+    calls = []
+
+    def counted(p, function=calib.inverfc):
+        calls.append(p)
+        return function(p)
+
+    monkeypatch.setattr(calib, "inverfc", counted)
+    delta_grid = [1e-9, 1e-6, 1e-3, 0.1]
+    compare_grid([0.1, 1.0, 10.0], delta_grid, UNIT)
+    assert [calls.count(delta) for delta in delta_grid] == [1, 1, 1, 1]
 
 
 # --- achieves_dp ------------------------------------------------------------
