@@ -16,9 +16,8 @@ ends, written over the old file, which is then trimmed to it.
 Where each argument after the command (and experiment's kind) is an exact
 store or append option and one value, neither empty nor starting with '-',
 ``_read`` takes the command line by the parsers' own actions, types and
-choices.  argparse reads every other one, and writes every help and error
-message: the command's own parser reads it, and the top-level parser answers
-only ``-h``, ``--version`` and usage errors.
+choices.  argparse's top-level parser reads every other one, and writes
+every help and error message.
 No command sets how closely a root is solved: ``calibrate``, ``compare``
 and ``region`` get the library's fixed 1e-12, as its own callers do.
 Exit status: 0 on success, 2 on usage or domain errors, 3 on numerical
@@ -287,15 +286,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser], dict]:
+def _parser() -> tuple[argparse.ArgumentParser, dict]:
     # built once per process (parsing keeps no state between calls), with
-    # its table of command name -> that command's parser, and _read's table
+    # _read's table
     parser = build_parser()
     (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     readers: dict = {}
     for name, command in sub.choices.items():
         _add_reader(readers, (name,), command, {})
-    return parser, sub.choices, readers
+    return parser, readers
 
 
 def _add_reader(readers: dict, words: tuple, parser, before: dict) -> None:
@@ -322,7 +321,7 @@ def _read(argv: list[str]) -> argparse.Namespace | None:
     """The namespace argparse gives argv, read with ``_parser``'s table if each
     argument is an exact option string and a value, neither empty nor starting
     with '-', that its type and choices take; else None, for argparse to read."""
-    readers = _parser()[2]
+    readers = _parser()[1]
     reader = readers.get(tuple(argv[:1])) or readers.get(tuple(argv[:2]))
     if reader is None or (len(argv) - reader[3]) % 2:
         return None
@@ -351,15 +350,8 @@ def _read(argv: list[str]) -> argparse.Namespace | None:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _read(argv)
-    if args is None:
-        # the command's own parser reads argv; the top-level parser only what
-        # it alone answers (no command, -h, --version, an unknown name) and
-        # leftover arguments, whose error it prints
-        parser, commands, _ = _parser()
-        command = commands.get(argv[0]) if argv else None
-        args, extra = command.parse_known_args(argv[1:]) if command else (None, None)
-        if args is None or extra:
-            args = parser.parse_args(argv)
+    if args is None:  # argparse reads it, or prints its help or usage error
+        args = _parser()[0].parse_args(argv)
     try:
         args.func(args)
     except (ValueError, ArithmeticError, OSError) as exc:

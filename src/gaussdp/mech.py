@@ -354,18 +354,21 @@ def histogram_counts(rows: Sequence[Sequence[str]] | Mapping[Sequence[str], int]
 # categorical record streams
 
 
-def _read_csv(path: str | Path) -> tuple[list, Counter, dict]:
-    """The CSV's lines in file order, header first, their ``Counter``, and
-    each distinct line's record (a tuple of strings): both readers' core.
+def read_categorical_counts(path: str | Path) -> tuple[list[str], dict[tuple[str, ...], int]]:
+    """Read a UTF-8, comma-delimited, header-row CSV of categorical strings.
 
-    The file is read once, as bytes, and split where ``csv.reader`` over a
-    ``newline=""`` file ends a line: at ``\\n``, ``\\r\\n`` or a lone
-    ``\\r``.  Each distinct line is decoded once.  Without a ``"`` no field
-    can span lines, so each line is one record and each distinct line is
-    parsed once; a file that holds a ``"`` is parsed whole, and its records
-    stand in for its lines.  A line that is not UTF-8 is the error raised
-    first, then a field over ``csv.field_size_limit()``, then the first
-    ragged record, by its number (the header is 1).
+    Returns the header and ``{record: count}``, ``Counter(rows)`` of the
+    rows ``csv.reader`` over the file reads, in order of first occurrence,
+    built without a list of rows.  The file is read once, as bytes, and
+    split where ``csv.reader`` over a ``newline=""`` file ends a line: at
+    ``\\n``, ``\\r\\n`` or a lone ``\\r``.  The lines are counted, and each
+    distinct line is decoded once.  Without a ``"`` no field can span lines,
+    so each line is one record and each distinct line is parsed once; a file
+    that holds a ``"`` is parsed whole, and its records stand in for its
+    lines.  Raises ValueError on empty, ragged, non-UTF-8 or unparsable
+    input: a line that is not UTF-8 first, then a field over
+    ``csv.field_size_limit()``, then the first ragged record, by its number
+    (the header is 1).
     """
     data = Path(path).read_bytes()
     quoted = b'"' in data
@@ -401,28 +404,6 @@ def _read_csv(path: str | Path) -> tuple[list, Counter, dict]:
         raise ValueError(f"{path}:{lineno}: expected {width} fields, got {len(record)}")
     if len(lines) == 1:
         raise ValueError(f"{path}: no records after the header row")
-    return lines, counts, records
-
-
-def read_categorical_csv(path: str | Path) -> tuple[list[str], list[tuple[str, ...]]]:
-    """Read a UTF-8, comma-delimited, header-row CSV of categorical strings.
-
-    Returns (header, rows), as ``csv.reader`` over the file reads them;
-    equal records share one tuple.  Raises ValueError on empty, ragged,
-    non-UTF-8 or unparsable input, naming the first bad line or record.
-    """
-    lines, _, records = _read_csv(path)
-    header, *rows = map(records.__getitem__, lines)
-    return list(header), rows
-
-
-def read_categorical_counts(path: str | Path) -> tuple[list[str], dict[tuple[str, ...], int]]:
-    """The header and ``{record: count}`` of the CSV ``read_categorical_csv``
-    reads, with its errors: ``Counter(rows)`` of its rows, in order of first
-    occurrence, built without a list of rows.  The lines are counted, so
-    each distinct line is parsed once and each distinct record hashed once.
-    """
-    lines, counts, records = _read_csv(path)
     counts[lines[0]] -= 1  # the header's own line
     # a quote-free line is its record's fields joined by commas, so two
     # distinct lines never parse to one record and no counts merge

@@ -105,4 +105,5 @@ def sigma_via_cdp_route(budget: PrivacyBudget, sens: Sensitivity) -> NoiseScale:
 def zcdp_of_sigma(sigma: NoiseScale, sens: Sensitivity) -> ZcdpParams:
     """rho-zCDP achieved by Gaussian noise sigma: rho = Delta^2 / (2 sigma^2)."""
     _check_range("sigma", sigma.sigma)
+    _check_range("l2 sensitivity", sens.l2)
     return ZcdpParams(_half_square_ratio(sens.l2, sigma.sigma))

@@ -45,7 +45,6 @@ from gaussdp.mech import (
     histogram_experiment,
     mean_experiment,
     read_categorical_counts,
-    read_categorical_csv,
     synthetic_census_rows,
     write_categorical_csv,
 )
@@ -341,8 +340,8 @@ def _experiment_hist_case(tmp_path):
     write_categorical_csv(path, header, rows)
     argv = ("experiment", "hist", "--csv", str(path), "--eps", "0.5", "--delta", "1e-6",
             "--trials", "30", "--seed", "7")
-    _, read_rows = read_categorical_csv(path)
-    reports = histogram_experiment(read_rows, PrivacyBudget(0.5, 1e-6), MECHANISM_ORDER, 30, 7)
+    _, counts = read_categorical_counts(path)
+    reports = histogram_experiment(counts, PrivacyBudget(0.5, 1e-6), MECHANISM_ORDER, 30, 7)
     return argv, _report_records(reports)
 
 
@@ -645,8 +644,7 @@ def test_json_rejects_non_finite_cells(capsys):
 
 
 def test_experiment_hist_reads_csv_once(capsys, tmp_path, monkeypatch):
-    # the command reads the file straight into record counts, once, and
-    # builds no list of records
+    # the command reads the file straight into record counts, once
     header, records = synthetic_census_rows(50, seed=3)
     path = tmp_path / "synth.csv"
     write_categorical_csv(path, header, records)
@@ -656,12 +654,7 @@ def test_experiment_hist_reads_csv_once(capsys, tmp_path, monkeypatch):
         calls.append(csv_path)
         return read_categorical_counts(csv_path)
 
-    def record_list_read(csv_path):
-        raise AssertionError("experiment hist read the records as a list")
-
     monkeypatch.setattr(gaussdp.cli, "read_categorical_counts", counting_read)
-    for module in (gaussdp.cli, gaussdp.mech):
-        monkeypatch.setattr(module, "read_categorical_csv", record_list_read, raising=False)
     code, out, _ = run_cli(
         capsys, "experiment", "hist", "--csv", str(path), "--eps", "1",
         "--delta", "1e-5", "--trials", "2",
@@ -946,6 +939,9 @@ _DISPATCH_CASES = [
     (*EVERY_COMMAND["calibrate"], "--sens"),
     (*EVERY_COMMAND["calibrate"], "--format", "xml"),
     ("calibrate", "--mech", "nope", "--mech", "dp-opt", "--eps", "1", "--delta", "1e-5"),
+    ("experiment", "mean", "--n=50", "--d", "2", "--eps", "1", "--delta", "1e-5",
+     "--trials", "1"),
+    ("compose", "--term=1:1", "--eps", "1"),
 ]
 
 
@@ -1028,8 +1024,10 @@ def _table_read(monkeypatch, argv):
 
 
 def _argparse_read(argv):
-    # what main's argparse path gives argv: its command's parser reads the rest
-    args, extra = gaussdp.cli._parser()[1][argv[0]].parse_known_args(list(argv[1:]))
+    # what argparse gives argv: its command's parser reads the rest
+    parser = gaussdp.cli._parser()[0]
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    args, extra = sub.choices[argv[0]].parse_known_args(list(argv[1:]))
     assert extra == []
     return args
 

@@ -34,7 +34,6 @@ from gaussdp.mech import (
     privacy_loss_tails,
     randomize,
     read_categorical_counts,
-    read_categorical_csv,
     sample_noise,
     synthetic_census_rows,
     write_categorical_csv,
@@ -602,26 +601,24 @@ def test_csv_round_trip(tmp_path):
     header, rows = synthetic_census_rows(50, seed=12)
     path = tmp_path / "records.csv"
     write_categorical_csv(path, header, rows)
-    got_header, got_rows = read_categorical_csv(path)
-    assert got_header == header
-    assert got_rows == rows
+    assert read_categorical_counts(path) == (header, Counter(rows))
 
 
 def test_csv_rejects_ragged(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1,2\n3\n", encoding="utf-8")
     with pytest.raises(ValueError):
-        read_categorical_csv(path)
+        read_categorical_counts(path)
 
 
 def test_csv_rejects_empty(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("", encoding="utf-8")
     with pytest.raises(ValueError):
-        read_categorical_csv(path)
+        read_categorical_counts(path)
     path.write_text("a,b\n", encoding="utf-8")
     with pytest.raises(ValueError):
-        read_categorical_csv(path)
+        read_categorical_counts(path)
 
 
 def _record_loop_read(path):
@@ -651,9 +648,17 @@ def _read_outcome(read, path):
         return str(exc)
 
 
+def _census_text(n_rows):
+    header, rows = synthetic_census_rows(n_rows, seed=24)
+    return "".join(",".join(row) + "\r\n" for row in [header, *rows])
+
+
 # Texts without a quote have each distinct line parsed once, repeated or
-# not; a quote anywhere has the whole file parsed.
-_CSV_TEXTS = {
+# not; a quote anywhere has the whole file parsed.  The last four are a
+# header line repeated as a record and separators that split a str but not
+# a line (U+0085, U+2028 and U+2029, with and without a quote); a
+# 10,000-row census is read as well.
+_COUNT_TEXTS = {
     "crlf": "a,b\r\n" + "x,1\r\ny,2\r\n" * 3,
     "lf": "a,b\n" + "x,1\ny,2\n" * 3,
     "lone-cr": "a,b\r" + "x,1\ry,2\r" * 3,
@@ -672,26 +677,6 @@ _CSV_TEXTS = {
     "half-distinct": "a,b\n" + "x,1\n" * 2 + "y,2\n" * 2 + "z,3\n" * 3,
     "empty": "",
     "header-only": "a,b\n",
-}
-
-
-@pytest.mark.parametrize("text", _CSV_TEXTS.values(), ids=_CSV_TEXTS.keys())
-def test_csv_reader_matches_record_loop(tmp_path, text):
-    path = tmp_path / "records.csv"
-    path.write_bytes(text.encode("utf-8"))
-    assert _read_outcome(read_categorical_csv, path) == _read_outcome(_record_loop_read, path)
-
-
-def _census_text(n_rows):
-    header, rows = synthetic_census_rows(n_rows, seed=24)
-    return "".join(",".join(row) + "\r\n" for row in [header, *rows])
-
-
-# Counts of the texts above, and of: a header line repeated as a record,
-# separators that split a str but not a line (U+0085, U+2028 and U+2029,
-# with and without a quote) and a 10,000-row census.
-_COUNT_TEXTS = {
-    **_CSV_TEXTS,
     "header-as-record": "a,b\n" + "x,1\na,b\n" * 3,
     "header-as-only-record": "a,b\na,b\n",
     "unicode-separators": "a,b\n" + "x\x85y,1\nz\u2028w,2\u2029\n" * 3,
@@ -712,7 +697,6 @@ def test_csv_counts_reader_matches_record_loop(tmp_path, name):
         want = header, Counter(rows)
     got = _read_outcome(read_categorical_counts, path)
     assert got == want
-    assert _read_outcome(read_categorical_csv, path) == _read_outcome(_record_loop_read, path)
     if not isinstance(got, str):
         assert all(type(n) is int and n >= 1 for n in got[1].values())
 
@@ -730,12 +714,11 @@ _NOT_UTF8 = {
 
 
 @pytest.mark.parametrize("data, lineno", _NOT_UTF8.values(), ids=_NOT_UTF8.keys())
-@pytest.mark.parametrize("read", [read_categorical_csv, read_categorical_counts])
-def test_csv_not_utf8_names_its_line(tmp_path, read, data, lineno):
+def test_csv_not_utf8_names_its_line(tmp_path, data, lineno):
     path = tmp_path / "records.csv"
     path.write_bytes(data)
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{lineno}: not valid UTF-8 "):
-        read(path)
+        read_categorical_counts(path)
 
 
 def test_synthetic_rows_deterministic():

@@ -3,8 +3,10 @@
 ``perfbench/tracer.py`` wraps every public function of a layer module that
 is defined in that module, and ``perfbench/layers.py`` reads each layer's
 figures from the spans of the functions named below.  A name that is gone,
-renamed or re-exported from elsewhere leaves its figure the median of an
-empty list, and the traced run crashes.
+renamed or re-exported from elsewhere gets no span.  A figure that
+``layers.py`` reads through ``p50``, ``per_call``, ``per_unit`` or
+``iterations`` then has no span to read, and the traced run crashes; one
+read through ``calls_per_op`` reads 0.
 """
 
 import dataclasses
@@ -26,7 +28,7 @@ TRACED = {
     "relations": ("sigma_via_cdp_route",),
     "compose": ("effective_unit_sigma", "composed_dp_delta", "composed_pdp_delta"),
     "rng": ("generator", "standard_normal", "standard_normal_rows"),
-    "mech": ("read_categorical_csv", "histogram_counts"),
+    "mech": ("histogram_counts",),
     "specfun": ("erfc", "erfcx", "inverfc"),
     "cli": ("main",),
 }

@@ -75,6 +75,8 @@ ENTRY_POINTS = {
         "n", lambda v: standard_normal_rows(v, 0, [1, 2]), NON_NEGATIVE),
     "zcdp_of_sigma-sigma": (
         "sigma", lambda v: zcdp_of_sigma(_sigma(v), UNIT), NON_NEGATIVE),
+    "zcdp_of_sigma-sens": (
+        "l2 sensitivity", lambda v: zcdp_of_sigma(_sigma(1.0), Sensitivity(v)), NON_NEGATIVE),
     "dp_delta_profile-sigma": (
         "sigma", lambda v: dp_delta_profile(_sigma(v), 1.0, UNIT), NON_NEGATIVE),
     "pdp_delta_profile-sigma": (
