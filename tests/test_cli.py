@@ -49,6 +49,7 @@ from gaussdp.mech import (
     write_categorical_csv,
 )
 from oracles import oracle_failure_threshold
+from test_mech import _NOT_UTF8
 
 UNIT = Sensitivity(1.0)
 REPO = Path(__file__).resolve().parents[1]
@@ -890,6 +891,20 @@ def test_experiment_hist_non_utf8_names_file_and_line(capsys, tmp_path):
     assert err.startswith(f"gaussdp: error: {path}:5002: not valid UTF-8 (byte 0xe9 at column ")
 
 
+@pytest.mark.parametrize("data, lineno", _NOT_UTF8.values(), ids=_NOT_UTF8.keys())
+def test_experiment_hist_not_utf8_names_its_line(capsys, tmp_path, data, lineno):
+    # each line ending and quoting the reader's line count covers, as the
+    # command reports it
+    path = tmp_path / "records.csv"
+    path.write_bytes(data)
+    code, out, err = run_cli(
+        capsys, "experiment", "hist", "--csv", str(path), "--eps", "1",
+        "--delta", "1e-5", "--trials", "2",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"gaussdp: error: {path}:{lineno}: not valid UTF-8 ")
+
+
 def _reference_main(argv):
     # the reference dispatch: the top-level parser reads every argument and
     # hands the rest to the command's parser; then main's except clauses
@@ -955,6 +970,34 @@ def test_dispatch_matches_the_top_level_parse(capsysbinary, tmp_path, argv):
     argv = [str(census) if arg in ("synth.csv", "x.csv") else arg for arg in argv]
     expected = _outcome(_reference_main, argv, capsysbinary)
     assert _outcome(main, argv, capsysbinary) == expected
+
+
+def _joined(argv):
+    # each "--option value" pair written "--option=value"
+    words, pairs = [], iter(argv)
+    for word in pairs:
+        words.append(f"{word}={next(pairs)}" if word.startswith("--") else word)
+    return tuple(words)
+
+
+def _abbreviated(argv):
+    # each option cut to its first two letters, a prefix argparse takes
+    return tuple(word[:4] if word.startswith("--") else word for word in argv)
+
+
+@pytest.mark.parametrize("form", [_joined, _abbreviated], ids=["joined", "abbreviated"])
+@pytest.mark.parametrize("argv", EVERY_COMMAND.values(), ids=EVERY_COMMAND.keys())
+def test_declined_form_prints_what_the_table_form_prints(capsysbinary, tmp_path, argv, form):
+    # the table declines these spellings and argparse's top-level parse reads
+    # them, to the exit code and bytes of the spelling the table reads
+    header, records = synthetic_census_rows(200, seed=0)
+    census = tmp_path / "x.csv"
+    write_categorical_csv(census, header, records)
+    argv = tuple(str(census) if arg == "x.csv" else arg for arg in argv)
+    assert gaussdp.cli._read(list(form(argv))) is None
+    expected = _outcome(main, argv, capsysbinary)
+    assert expected[0] == 0
+    assert _outcome(main, form(argv), capsysbinary) == expected
 
 
 @pytest.mark.parametrize("name, argv", EVERY_COMMAND.items(), ids=EVERY_COMMAND.keys())
