@@ -119,12 +119,18 @@ def _shown(value) -> str:
 def _check_range(name: str, value: float, upper: float = math.inf, zero: bool = False) -> float:
     """Return value if it is finite and in (0, upper), or in [0, inf) with
     ``zero``, else raise a ValueError that names the bound.  Every range and
-    count (through ``_check_count``) of the library is checked here, before
-    any float() of the value: an int past the double range is refused as
-    given."""
+    count (through ``_check_count``) of the library is checked here.  An int
+    is checked and returned as given, so one past the double range is
+    refused as given; any other real (a numpy scalar, Decimal, Fraction) is
+    checked and returned as its float(), so that the library computes in
+    doubles, not in float32 or Decimal arithmetic."""
+    number = value
     try:
-        if math.isfinite(value) and (0.0 < value or zero and value == 0.0) and value < upper:
-            return value
+        # math.isfinite refuses a str, which float() would parse
+        if type(value) is not float and not isinstance(value, int) and math.isfinite(value):
+            number = float(value)
+        if math.isfinite(number) and (0.0 < number or zero and number == 0.0) and number < upper:
+            return number
     except OverflowError:  # math.isfinite of an int too large for a double
         pass
     if upper < math.inf:
@@ -503,7 +509,7 @@ def _pdp_delta_unit(sigma_over_l2: float, eps: float) -> float:
 
 
 def _check_profile_args(sigma: NoiseScale, epsilon: float, sens: Sensitivity) -> float:
-    epsilon = float(_check_range("epsilon", epsilon))
+    epsilon = _check_range("epsilon", epsilon)
     if sigma.sigma <= 0.0 or sens.l2 <= 0.0:
         _check_range("sigma", sigma.sigma)
         _check_range("l2 sensitivity", sens.l2)
@@ -624,7 +630,7 @@ def dp_opt_zero_eps(delta: float, sens: Sensitivity) -> NoiseScale:
     sensitivity follow ``_noise``: Delta = 0 gives sigma 0, and a sigma
     below the normal double range at Delta > 0 names the sensitivity.
     """
-    delta = float(_check_range("delta", delta, 1.0))
+    delta = _check_range("delta", delta, 1.0)
     sigma = sens.l2 / (2.0 * _SQRT2 * inverf(delta))
     if sens.l2 > 0.0 and sigma < _FLOAT_MIN:
         raise ValueError(
@@ -754,7 +760,7 @@ def failure_threshold(f_of_delta: float, delta: float) -> float:
     double a ValueError names F(delta).
     """
     f = float(_check_range("F(delta)", f_of_delta))
-    delta = float(_check_range("delta", delta, 1.0))
+    delta = _check_range("delta", delta, 1.0)
     eps0, scale = 2.0 * f * f, 2.0 * _SQRT2 * f  # eps = eps0 - scale * a
     if not _FLOAT_MIN <= eps0 < math.inf:
         raise ValueError(f"F(delta) must have 2 F(delta)^2 a normal double, got {f!r}")
@@ -841,7 +847,8 @@ def compare_grid(
                     if kind not in roots:
                         roots[kind] = delta_root(delta)
                     sigma = finish(kind, roots[kind], budget, sens).sigma
-                achieves = kind in certain or _dp_delta_unit(sigma / sens.l2, float(eps)) <= delta
+                achieves = (kind in certain
+                            or _dp_delta_unit(sigma / sens.l2, budget.epsilon) <= delta)
                 rows.append((eps, delta, kind, sigma, achieves))
     return rows
 

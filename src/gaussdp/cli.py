@@ -13,10 +13,11 @@ grid value is repr'd once.  Nothing is written until the whole table is
 built, so a failing command leaves an existing output file as it was.
 ``--output`` gets the table as one UTF-8 buffer with ``os.linesep`` line
 ends, written over the old file, which is then trimmed to it.
-Where each argument after the command (and experiment's kind) is an exact
-store or append option and one value, neither empty nor starting with '-',
-``_read`` takes the command line by the parsers' own actions, types and
-choices.  argparse's top-level parser reads every other one, and writes
+The grammar is written once, in ``_GRAMMAR``; argparse's parsers and
+``_read``'s tables are both built from it.  Where each argument after the
+command (and experiment's kind) is an exact option and one value, neither
+empty nor starting with '-', ``_read`` takes the command line by the
+table.  argparse's top-level parser reads every other one, and writes
 every help and error message.
 No command sets how closely a root is solved: ``calibrate``, ``compare``
 and ``region`` get the library's fixed 1e-12, as its own callers do.
@@ -207,11 +208,67 @@ def cmd_experiment(args) -> None:
     _emit(["mechanism", "trials", "metric", "metric_stderr"], rows, args)
 
 
-def _add_output_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="output format (default: csv)")
-    parser.add_argument("--output", default="-", metavar="PATH",
-                        help="output path, '-' for stdout (default)")
+# every command's last two options
+_OUTPUT_OPTIONS = {
+    "--format": dict(choices=("csv", "json"), default="csv", help="output format (default: csv)"),
+    "--output": dict(default="-", metavar="PATH", help="output path, '-' for stdout (default)"),
+}
+
+# The CLI's one grammar: each command's argv words -> its help, its handler
+# and its options, each an option string and its add_argument keywords.
+# build_parser builds argparse's parsers from it, and _READERS _read's
+# tables, so an option takes only the keywords _read interprets (type,
+# choices, required, default, action="append") and help and metavar.
+_GRAMMAR = {
+    ("calibrate",): ("noise scale for one mechanism", cmd_calibrate, {
+        "--mech": dict(required=True, choices=[str(m) for m in MECHANISM_ORDER]),
+        "--eps": dict(type=float, required=True),
+        "--delta": dict(type=float, required=True),
+        "--sens": dict(type=float, default=1.0),
+        **_OUTPUT_OPTIONS,
+    }),
+    ("compare",): ("sigma table for all mechanisms over a grid", cmd_compare, {
+        "--eps-grid": dict(type=_parse_grid, required=True),
+        "--delta-grid": dict(type=_parse_grid, required=True),
+        "--sens": dict(type=float, default=1.0),
+        **_OUTPUT_OPTIONS,
+    }),
+    ("profile",): ("DP/pDP delta profiles over a sigma grid", cmd_profile, {
+        "--sigma-grid": dict(type=_parse_grid, required=True),
+        "--eps": dict(type=float, required=True),
+        "--sens": dict(type=float, default=1.0),
+        **_OUTPUT_OPTIONS,
+    }),
+    ("region",): ("failure frontier G(delta) of the classical mechanisms", cmd_region, {
+        "--delta-grid": dict(type=_parse_grid, required=True),
+        **_OUTPUT_OPTIONS,
+    }),
+    ("compose",): ("account a composition of Gaussian mechanisms", cmd_compose, {
+        "--term": dict(type=_parse_term, action="append", required=True,
+                       metavar="DELTA:SIGMA", help="sensitivity:sigma pair (repeatable)"),
+        "--eps": dict(type=float, required=True),
+        **_OUTPUT_OPTIONS,
+    }),
+    ("experiment", "mean"): ("synthetic mean estimation (l2 error)", cmd_experiment, {
+        "--n": dict(type=int, required=True),
+        "--d": dict(type=int, required=True),
+        "--eps": dict(type=float, required=True),
+        "--delta": dict(type=float, required=True),
+        "--trials": dict(type=int, required=True),
+        "--seed": dict(type=int, default=0),
+        "--sens": dict(type=float, default=None,
+                       help="override the default sensitivity sqrt(d)/n"),
+        **_OUTPUT_OPTIONS,
+    }),
+    ("experiment", "hist"): ("categorical histogram (MSE)", cmd_experiment, {
+        "--csv": dict(required=True, metavar="PATH"),
+        "--eps": dict(type=float, required=True),
+        "--delta": dict(type=float, required=True),
+        "--trials": dict(type=int, required=True),
+        "--seed": dict(type=int, default=0),
+        **_OUTPUT_OPTIONS,
+    }),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -220,138 +277,78 @@ def build_parser() -> argparse.ArgumentParser:
         description="Gaussian noise calibration for (eps, delta)-DP and pDP.",
     )
     parser.add_argument("--version", action="version", version=f"gaussdp {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    mech_tags = [str(m) for m in MECHANISM_ORDER]
-
-    p = sub.add_parser("calibrate", help="noise scale for one mechanism")
-    p.add_argument("--mech", required=True, choices=mech_tags)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--sens", type=float, default=1.0)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_calibrate)
-
-    p = sub.add_parser("compare", help="sigma table for all mechanisms over a grid")
-    p.add_argument("--eps-grid", type=_parse_grid, required=True)
-    p.add_argument("--delta-grid", type=_parse_grid, required=True)
-    p.add_argument("--sens", type=float, default=1.0)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("profile", help="DP/pDP delta profiles over a sigma grid")
-    p.add_argument("--sigma-grid", type=_parse_grid, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--sens", type=float, default=1.0)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_profile)
-
-    p = sub.add_parser("region", help="failure frontier G(delta) of the classical mechanisms")
-    p.add_argument("--delta-grid", type=_parse_grid, required=True)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_region)
-
-    p = sub.add_parser("compose", help="account a composition of Gaussian mechanisms")
-    p.add_argument("--term", type=_parse_term, action="append", required=True,
-                   metavar="DELTA:SIGMA", help="sensitivity:sigma pair (repeatable)")
-    p.add_argument("--eps", type=float, required=True)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_compose)
-
-    p = sub.add_parser("experiment", help="mean or histogram experiment, one row per mechanism")
-    exp = p.add_subparsers(dest="experiment_kind", required=True)
-
-    pm = exp.add_parser("mean", help="synthetic mean estimation (l2 error)")
-    pm.add_argument("--n", type=int, required=True)
-    pm.add_argument("--d", type=int, required=True)
-    pm.add_argument("--eps", type=float, required=True)
-    pm.add_argument("--delta", type=float, required=True)
-    pm.add_argument("--trials", type=int, required=True)
-    pm.add_argument("--seed", type=int, default=0)
-    pm.add_argument("--sens", type=float, default=None,
-                    help="override the default sensitivity sqrt(d)/n")
-    _add_output_flags(pm)
-    pm.set_defaults(func=cmd_experiment)
-
-    ph = exp.add_parser("hist", help="categorical histogram (MSE)")
-    ph.add_argument("--csv", required=True, metavar="PATH")
-    ph.add_argument("--eps", type=float, required=True)
-    ph.add_argument("--delta", type=float, required=True)
-    ph.add_argument("--trials", type=int, required=True)
-    ph.add_argument("--seed", type=int, default=0)
-    _add_output_flags(ph)
-    ph.set_defaults(func=cmd_experiment)
-
+    commands, kinds = parser.add_subparsers(dest="command", required=True), None
+    for words, (text, handler, options) in _GRAMMAR.items():
+        if len(words) == 2 and kinds is None:  # experiment, after the one-word commands
+            experiment = commands.add_parser(
+                "experiment", help="mean or histogram experiment, one row per mechanism")
+            kinds = experiment.add_subparsers(dest="experiment_kind", required=True)
+        command = (commands if len(words) == 1 else kinds).add_parser(words[-1], help=text)
+        for option, keywords in options.items():
+            command.add_argument(option, **keywords)
+        command.set_defaults(func=handler)
     return parser
 
 
 @functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, dict]:
-    # built once per process (parsing keeps no state between calls), with
-    # _read's table
-    parser = build_parser()
-    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    readers: dict = {}
-    for name, command in sub.choices.items():
-        _add_reader(readers, (name,), command, {})
-    return parser, readers
+def _parser() -> argparse.ArgumentParser:
+    # built once per process (parsing keeps no state between calls)
+    return build_parser()
 
 
-def _add_reader(readers: dict, words: tuple, parser, before: dict) -> None:
-    """Enter under argv ``words`` a parser of help and one-value store or
-    append options: its options and the namespace argparse starts it with,
-    over ``before``; a parser of help and subcommands (experiment) enters
-    those.  argparse reads any other parser's argv."""
-    actions = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
-    if len(actions) == 1 and isinstance(actions[0], argparse._SubParsersAction):
-        for name, child in actions[0].choices.items():
-            start = {**before, **parser._defaults, actions[0].dest: name}
-            _add_reader(readers, (*words, name), child, start)
-    elif not parser._mutually_exclusive_groups and all(
-            type(a) in (argparse._StoreAction, argparse._AppendAction) and a.nargs is None
-            for a in actions):
-        # reversed: the first action of a dest gives its default, as in argparse
-        start = {a.dest: a.default for a in reversed(actions)
-                 if a.default is not argparse.SUPPRESS}
-        readers[words] = (parser, {s: a for a in actions for s in a.option_strings},
-                          {**before, **parser._defaults, **start}, len(words))
+def _reader(words: tuple, handler, options: dict) -> tuple:
+    """_read's table for one command: each option string's dest, type,
+    choices and whether it appends; the namespace argparse starts the
+    command with; the required option strings; the argv words naming it."""
+    start = {"func": handler}
+    if len(words) == 2:
+        start["experiment_kind"] = words[1]
+    fields = {}
+    for option, keywords in options.items():
+        dest = option[2:].replace("-", "_")
+        start[dest] = keywords.get("default")
+        fields[option] = (dest, keywords.get("type", str), keywords.get("choices"),
+                          keywords.get("action") == "append")
+    required = {option for option, keywords in options.items() if keywords.get("required")}
+    return fields, start, required, len(words)
+
+
+_READERS = {words: _reader(words, handler, options)
+            for words, (_, handler, options) in _GRAMMAR.items()}
 
 
 def _read(argv: list[str]) -> argparse.Namespace | None:
-    """The namespace argparse gives argv, read with ``_parser``'s table if each
-    argument is an exact option string and a value, neither empty nor starting
-    with '-', that its type and choices take; else None, for argparse to read."""
-    readers = _parser()[1]
-    reader = readers.get(tuple(argv[:1])) or readers.get(tuple(argv[:2]))
+    """The namespace argparse gives argv, read with ``_READERS`` if each
+    argument after the command is an exact option string of it and a value,
+    neither empty nor starting with '-', that the option's type and choices
+    take, and every required option is given; else None, for argparse to
+    read."""
+    reader = _READERS.get(tuple(argv[:1])) or _READERS.get(tuple(argv[:2]))
     if reader is None or (len(argv) - reader[3]) % 2:
         return None
-    parser, options, start, depth = reader
-    args, seen = argparse.Namespace(**start), set()
+    fields, start, required, depth = reader
+    values, given = dict(start), set()
     try:
         for option, text in zip(argv[depth::2], argv[depth + 1::2]):
-            action = options.get(option)
-            if action is None or text[:1] in parser.prefix_chars:  # "" is in it too
+            field = fields.get(option)
+            if field is None or text[:1] in ("", "-"):
                 return None
-            value = parser._get_value(action, text)
-            parser._check_value(action, value)
-            action(parser, args, value, option)
-            seen.add(action)
-        for action in (a for a in parser._actions if a not in seen):  # as argparse does
-            if action.required:
+            dest, convert, choices, append = field
+            value = convert(text)
+            if choices is not None and value not in choices:
                 return None
-            if (isinstance(action.default, str)
-                    and getattr(args, action.dest, None) is action.default):
-                setattr(args, action.dest, parser._get_value(action, action.default))
-    except argparse.ArgumentError:
+            values[dest] = [*(values[dest] or ()), value] if append else value
+            given.add(option)
+    except (ValueError, TypeError, argparse.ArgumentTypeError):  # as argparse catches
         return None
-    return args
+    return argparse.Namespace(**values) if required <= given else None
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _read(argv)
     if args is None:  # argparse reads it, or prints its help or usage error
-        args = _parser()[0].parse_args(argv)
+        args = _parser().parse_args(argv)
     try:
         args.func(args)
     except (ValueError, ArithmeticError, OSError) as exc:

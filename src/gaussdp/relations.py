@@ -34,8 +34,8 @@ class McdpParams:
     tau: float
 
     def __post_init__(self) -> None:
-        _check_range("mu", self.mu, zero=True)
-        _check_range("tau", self.tau)
+        self.__dict__["mu"] = _check_range("mu", self.mu, zero=True)
+        self.__dict__["tau"] = _check_range("tau", self.tau)
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class ZcdpParams:
     rho: float
 
     def __post_init__(self) -> None:
-        _check_range("rho", self.rho)
+        self.__dict__["rho"] = _check_range("rho", self.rho)
 
 
 def dp_to_pdp(budget: PrivacyBudget, eps_star: float) -> PrivacyBudget:

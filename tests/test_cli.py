@@ -490,6 +490,8 @@ def test_region_names_delta_bound(capsys, delta):
 
 
 def test_parser_built_once_and_reused(capsys, monkeypatch):
+    # argparse's parsers are built once per process at most, and never for
+    # an argv the table reads
     built = []
     real = gaussdp.cli.build_parser
 
@@ -504,6 +506,10 @@ def test_parser_built_once_and_reused(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "region", "--delta-grid", "0")
     assert code == 2
     assert "delta must be in (0, 1)" in err
+    assert built == []
+    declined = ("calibrate", "--mech", "dp-opt", "--eps=0.5", "--delta", "1e-6")
+    assert run_cli(capsys, *declined) == first
+    assert run_cli(capsys, *declined) == first
     again = run_cli(capsys, *calibrate)
     assert first[0] == 0
     assert again == first
@@ -1002,8 +1008,8 @@ def test_declined_form_prints_what_the_table_form_prints(capsysbinary, tmp_path,
 
 @pytest.mark.parametrize("name, argv", EVERY_COMMAND.items(), ids=EVERY_COMMAND.keys())
 def test_each_command_parsed_once_and_written_by_os_write(tmp_path, monkeypatch, name, argv):
-    # a well-formed command is read with the table made from argparse's
-    # actions, so argparse parses nothing
+    # a well-formed command is read with the grammar table, so argparse
+    # parses nothing
     header, records = synthetic_census_rows(50, seed=3)
     write_categorical_csv(tmp_path / "x.csv", header, records)
     argv = [str(tmp_path / "x.csv") if arg == "x.csv" else arg for arg in argv]
@@ -1058,17 +1064,19 @@ def _fields(args):
 
 
 def _table_read(monkeypatch, argv):
-    # gaussdp.cli._read, failing if it calls argparse's parse_known_args
-    gaussdp.cli._parser()
+    # gaussdp.cli._read, failing if it builds an argparse parser or parses
+    def fail(*args, **kwargs):
+        pytest.fail("argparse used")
+
     with monkeypatch.context() as patch:
-        patch.setattr(argparse.ArgumentParser, "parse_known_args",
-                      lambda *args, **kwargs: pytest.fail("argparse parsed"))
+        patch.setattr(argparse.ArgumentParser, "__init__", fail)
+        patch.setattr(argparse.ArgumentParser, "parse_known_args", fail)
         return gaussdp.cli._read(list(argv))
 
 
 def _argparse_read(argv):
     # what argparse gives argv: its command's parser reads the rest
-    parser = gaussdp.cli._parser()[0]
+    parser = gaussdp.cli._parser()
     (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     args, extra = sub.choices[argv[0]].parse_known_args(list(argv[1:]))
     assert extra == []
@@ -1136,65 +1144,36 @@ def test_every_store_or_append_option_is_read(monkeypatch):
                 assert _fields(args) == _fields(_argparse_read(argv))
 
 
-class _UpperAction(argparse._StoreAction):
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values.upper())
+# the add_argument keywords _read interprets, and the two only argparse's
+# help reads
+_TABLE_KEYWORDS = {"type", "choices", "required", "default", "action", "help", "metavar"}
 
 
-# options added to a copy of the grammar, each with the argv words that use
-# it and whether the table reads those: it reads store and append options of
-# one value, whatever their default, and leaves every other kind to argparse
-_ADDED_OPTIONS = {
-    "str-default-typed": (lambda p: p.add_argument("--scale", type=float, default="2"),
-                          ("--scale", "3"), True),
-    "suppressed-default": (lambda p: p.add_argument("--note", default=argparse.SUPPRESS),
-                           ("--note", "a"), True),
-    "append-to-default": (lambda p: p.add_argument("--tag", action="append", default=["x"]),
-                          ("--tag", "a"), True),
-    "shared-dest": (lambda p: p.add_argument("--sensitivity", dest="sens", type=float,
-                                             default=9.0), ("--sensitivity", "3"), True),
-    "store_true": (lambda p: p.add_argument("--verbose", action="store_true"),
-                   ("--verbose",), False),
-    "store_const": (lambda p: p.add_argument("--one", action="store_const", const=1),
-                    ("--one",), False),
-    "count": (lambda p: p.add_argument("--level", action="count"), ("--level",), False),
-    "boolean": (lambda p: p.add_argument("--fast", action=argparse.BooleanOptionalAction),
-                ("--no-fast",), False),
-    "extend": (lambda p: p.add_argument("--tag", action="extend", nargs="+"),
-               ("--tag", "a"), False),
-    "nargs-1": (lambda p: p.add_argument("--pair", nargs=1), ("--pair", "a"), False),
-    "nargs-?": (lambda p: p.add_argument("--maybe", nargs="?", const="c"),
-                ("--maybe", "a"), False),
-    "store-subclass": (lambda p: p.add_argument("--name", action=_UpperAction),
-                       ("--name", "a"), False),
-    "positional": (lambda p: p.add_argument("where"), ("a",), False),
-    "positional-*": (lambda p: p.add_argument("where", nargs="*"), ("a",), False),
-    "exclusive": (lambda p: p.add_mutually_exclusive_group().add_argument("--alt"),
-                  ("--alt", "a"), False),
-}
+@pytest.mark.parametrize("words", list(gaussdp.cli._GRAMMAR), ids=" ".join)
+def test_parser_is_built_from_the_grammar_table(monkeypatch, words):
+    options = gaussdp.cli._GRAMMAR[words][2]
+    for option, keywords in options.items():
+        assert set(keywords) <= _TABLE_KEYWORDS, option
+        assert keywords.get("action", "append") == "append", option
+        # argparse converts a str default by the option's type, _read does not
+        assert not (isinstance(keywords.get("default"), str) and "type" in keywords), option
+    # the built parser has the table's option strings, in its order
+    command = dict(_command_parsers(gaussdp.cli.build_parser()))[words]
+    assert [s for a in command._actions for s in a.option_strings] == ["-h", "--help", *options]
 
-
-@pytest.mark.parametrize("words", [("calibrate",), ("experiment", "mean")], ids=" ".join)
-@pytest.mark.parametrize("add, used, read", _ADDED_OPTIONS.values(), ids=_ADDED_OPTIONS.keys())
-def test_added_option_is_read_as_argparse_or_left_to_it(monkeypatch, words, add, used, read):
+    # an option added to a built parser outside the table is left to argparse
     real = gaussdp.cli.build_parser
 
     def build_with_option():
         parser = real()
-        add(dict(_command_parsers(parser))[words])
+        dict(_command_parsers(parser))[words].add_argument("--scale", type=float)
         return parser
 
     monkeypatch.setattr(gaussdp.cli, "build_parser", build_with_option)
     gaussdp.cli._parser.cache_clear()
     try:
-        base = EVERY_COMMAND["calibrate" if words == ("calibrate",) else "experiment-mean"]
-        args = _table_read(monkeypatch, (*base, *used))
-        if read:
-            assert _fields(args) == _fields(_argparse_read((*base, *used)))
-        else:
-            assert args is None
-        # an argv that does not use it is read as argparse reads it, or left to it
-        args = _table_read(monkeypatch, base)
-        assert args is None or _fields(args) == _fields(_argparse_read(base))
+        argv = (*EVERY_COMMAND["-".join(words)], "--scale", "3")
+        assert _table_read(monkeypatch, argv) is None
+        assert _argparse_read(argv).scale == 3.0
     finally:
         gaussdp.cli._parser.cache_clear()

@@ -12,7 +12,10 @@ import pickle
 import pkgutil
 import random
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import gaussdp
@@ -24,8 +27,25 @@ from gaussdp.calib import (
     PrivacyBudget,
     Sensitivity,
     calibrate,
+    dp_delta_profile,
+    dp_opt_zero_eps,
+    failure_threshold,
+    pdp_delta_profile,
     solve_dp_opt,
     solve_pdp_opt,
+)
+from gaussdp.compose import (
+    CompositionTerm,
+    composed_dp_delta,
+    composed_pdp_delta,
+    effective_unit_sigma,
+)
+from gaussdp.relations import (
+    McdpParams,
+    dp_to_pdp,
+    mcdp_to_pdp_delta,
+    sigma_via_cdp_route,
+    zcdp_of_sigma,
 )
 
 # (type, positional arguments, repr of the value they build)
@@ -162,6 +182,64 @@ def test_calibrate_returns_plain_noise_scales(kind):
     zero = calibrate(kind, PrivacyBudget(1.0, 1e-5), Sensitivity(0.0))
     assert zero.sigma == 0.0
     _assert_plain(zero)
+
+
+# reals that are not Python floats, each made from a float's repr; numpy's
+# float32 and float16 would, as given, turn the arithmetic into their own
+# (NEP 50), and Decimal meets float arithmetic with a TypeError
+_REALS = {"float32": np.float32, "float16": np.float16, "float64": np.float64,
+          "Decimal": Decimal, "Fraction": Fraction}
+# (eps, delta, sensitivity), each representable in float16
+_REAL_INPUTS = [(0.3, 1e-5, 2.5), (3.7, 0.2, 1e-3), (42.0, 1e-4, 700.0)]
+
+
+@pytest.mark.parametrize("real", _REALS.values(), ids=_REALS.keys())
+@pytest.mark.parametrize("kind", MECHANISM_ORDER, ids=str)
+def test_calibrate_computes_a_real_input_as_its_double(kind, real):
+    for values in _REAL_INPUTS:
+        given = [real(repr(value)) for value in values]
+        doubles = [float(value) for value in given]
+        sigma = calibrate(kind, PrivacyBudget(*given[:2]), Sensitivity(given[2])).sigma
+        assert type(sigma) is float
+        expected = calibrate(kind, PrivacyBudget(*doubles[:2]), Sensitivity(doubles[2])).sigma
+        assert sigma.hex() == expected.hex()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PrivacyBudget(Fraction(1, 10**400), 1e-5),
+    lambda: PrivacyBudget(1.0, Fraction(1, 10**400)),
+    lambda: PrivacyBudget(1.0, Decimal("0.99999999999999999999")),
+], ids=["eps-to-0", "delta-to-0", "delta-to-1"])
+def test_real_checked_as_its_double(make):
+    # in range as given, but its double is not: the double is what is computed
+    with pytest.raises(ValueError, match=r"must be (finite and positive|in \(0, 1\))"):
+        make()
+
+
+def _entry_results(number):
+    # every profile, compose and relations entry, each real argument made by number
+    eps, sens = number(0.3), Sensitivity(number(2.5))
+    budget, noise = PrivacyBudget(eps, number(1e-5)), NoiseScale(number(1.7), Mechanism.DP_OPT)
+    terms = [CompositionTerm(sens, number(1.7)), CompositionTerm(Sensitivity(number(1.0)),
+                                                                 number(4.2))]
+    converted = dp_to_pdp(budget, number(0.9))
+    return [
+        budget.epsilon, budget.delta, sens.l2, noise.sigma, terms[0].sigma,
+        dp_delta_profile(noise, eps, sens), pdp_delta_profile(noise, eps, sens),
+        dp_opt_zero_eps(number(1e-5), sens).sigma, failure_threshold(number(2.1), number(1e-5)),
+        effective_unit_sigma(terms), composed_dp_delta(terms, eps),
+        composed_pdp_delta(terms, eps), converted.epsilon, converted.delta,
+        mcdp_to_pdp_delta(McdpParams(number(0.2), number(0.6)), number(1.5)),
+        sigma_via_cdp_route(budget, sens).sigma, zcdp_of_sigma(noise, sens).rho,
+    ]
+
+
+@pytest.mark.parametrize("real", _REALS.values(), ids=_REALS.keys())
+def test_entries_compute_a_real_input_as_its_double(real):
+    results = _entry_results(lambda value: real(repr(value)))
+    assert [type(result) for result in results] == [float] * len(results)
+    expected = _entry_results(lambda value: float(real(repr(value))))
+    assert [r.hex() for r in results] == [r.hex() for r in expected]
 
 
 def _own_init_dataclasses():
